@@ -25,10 +25,9 @@ print(f"pumped run (lambda = eps = 0.1): peak Y = {y.max():.4f} "
       f"at scaled time {scaled[np.argmax(y)]:.3f}")
 
 # spot-check one instant against the truncated-Fock brute force
-basis = fock.check_convergence(params, t[-1], tol=1e-6)
+basis, ev = fock.check_convergence(params, t[-1], tol=1e-6)
 print(f"oracle cutoff: {basis.cutoff_a} photons per mode")
-h = fock.build_hamiltonian(params, basis)
-psi = fock.evolve(fock.fock_state(basis, 5, 0), h, t[200])
+psi = ev.at(fock.fock_state(basis, 5, 0), t[200])
 obs = fock.observables(psi, basis)
 print(f"Y at scaled time {scaled[200]:.2f}: transport {y[200]:.10f}, "
       f"oracle {obs['Y']:.10f}")

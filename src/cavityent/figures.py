@@ -199,8 +199,9 @@ def oracle_check(
     ])
     y_transport = heisenberg.covariance_series(params, t_grid)
     basis = fock.TruncatedBasis(n_initial, n_initial)
-    ev = fock.SpectralEvolver(fock.build_hamiltonian(params, basis))
+    h = fock.build_hamiltonian(params, basis)
     psi0 = fock.fock_state(basis, n_initial, 0)
+    ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
     y_oracle = np.array([
         fock.observables(psi, basis)["Y"] for psi in ev.at_times(psi0, t_grid)
     ])
@@ -245,8 +246,7 @@ def oracle_check(
     lam_p, eps_p = pumped_params
     p = validate(ModelParams(omega, lam_p, eps_p, n_initial))
     t_max = to_physical_time(1.0, p)
-    basis = fock.check_convergence(p, t_max, tol=convergence_tol)
-    ev = fock.SpectralEvolver(fock.build_hamiltonian(p, basis))
+    basis, ev = fock.check_convergence(p, t_max, tol=convergence_tol)
     psi0 = fock.fock_state(basis, p.n_initial, 0)
     probes = np.linspace(0.0, t_max, 17)[1:]
     max_dev = 0.0

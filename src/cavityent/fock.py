@@ -6,10 +6,17 @@ full Hamiltonian
     H = omega (n_a + n_b) + lambda (a^dag b + a b^dag)
         + epsilon (a^dag^2 + a^2) + drive (a^dag + a)
 
-is built as a dense real-symmetric matrix on a per-mode photon-number
+is assembled as a sparse real-symmetric matrix on a per-mode photon-number
 cutoff, evolved by spectral decomposition, and interrogated for moments,
-the covariance measure and the a-mode entanglement entropy.  Cutoff
-adequacy is certified operationally by check_convergence, never assumed.
+the covariance measure and the a-mode entanglement entropy.
+
+Only the sector that the initial state reaches under H is diagonalised:
+the photon-number parity sector when pumped (hopping keeps n_a + n_b and
+the pump changes n_a by 2), the N-photon shell without pump or drive, and
+the whole basis under a linear drive.  The sector is found from H's nonzero
+values and checked, not assumed: H must have no entry between it and the
+rest of the basis.  Cutoff adequacy is certified operationally by
+check_convergence, never assumed either.
 """
 
 import numpy as np
@@ -57,10 +64,10 @@ def _destroy(cutoff):
 
 
 def build_hamiltonian(params, basis, linear_drive=0.0):
-    """Dense real-symmetric Hamiltonian matrix in the truncated basis.
+    """Sparse (CSR) real-symmetric Hamiltonian matrix in the truncated basis.
 
-    Assembled from sparse ladder operators so memory stays linear until
-    the final densification for the eigensolver.
+    Nothing here is densified: SpectralEvolver makes dense only the block
+    of the sector it diagonalises.
     """
     a1 = sparse.csr_matrix(_destroy(basis.cutoff_a))
     b1 = sparse.csr_matrix(_destroy(basis.cutoff_b))
@@ -76,31 +83,69 @@ def build_hamiltonian(params, basis, linear_drive=0.0):
     h = h + params.epsilon * (a.T @ a.T + a @ a)
     if linear_drive:
         h = h + linear_drive * (a.T + a)
-    h = np.asarray(h.todense())
-    if not np.array_equal(h, h.T):
+    h = sparse.csr_matrix(h)
+    if (h != h.T).nnz:
         raise AssertionError("Hamiltonian not symmetric")
     return h
 
 
-class SpectralEvolver:
-    """Caches the eigendecomposition of H for evaluation at many times."""
+def reachable_sector(h, state):
+    """Boolean mask of the basis states that state's support reaches under h.
 
-    def __init__(self, h):
-        self.energies, self.modes = np.linalg.eigh(h)
+    Breadth-first search over the nonzero values of h, not its stored
+    structure: a zero coupling (epsilon = 0, say) may still be stored and
+    must not join two sectors.
+    """
+    h = sparse.csr_matrix(h)
+    sector = np.asarray(state) != 0
+    frontier = np.flatnonzero(sector)
+    while frontier.size:
+        rows = h[frontier]
+        reached = rows.indices[rows.data != 0]
+        frontier = np.unique(reached[~sector[reached]])
+        sector[frontier] = True
+    return sector
+
+
+class SpectralEvolver:
+    """Eigendecomposition of H on one H-invariant sector of the basis.
+
+    The sector (a boolean mask, usually from reachable_sector) is checked,
+    not assumed: any nonzero entry of H between the sector and the rest of
+    the basis raises.  States are taken and returned in the full basis.
+    """
+
+    def __init__(self, h, sector):
+        h = sparse.csr_matrix(h)
+        self.sector = np.asarray(sector, dtype=bool)
+        inside = np.flatnonzero(self.sector)
+        outside = np.flatnonzero(~self.sector)
+        if h[inside][:, outside].count_nonzero() or h[outside][:, inside].count_nonzero():
+            raise ValueError("sector is not invariant under H: it couples to the rest of the basis")
+        self.energies, self.modes = np.linalg.eigh(h[inside][:, inside].toarray())
 
     def at(self, psi0, t):
-        coeff = self.modes.conj().T @ psi0
-        return self.modes @ (np.exp(-1j * self.energies * t) * coeff)
+        return self.at_times(psi0, [t])[0]
 
     def at_times(self, psi0, times):
-        coeff = self.modes.conj().T @ psi0
+        psi0 = np.asarray(psi0, dtype=complex)
+        if np.any(psi0[~self.sector]):
+            raise ValueError("initial state has support outside the evolver's sector")
+        coeff = _apply(self.modes.conj().T, psi0[self.sector])
         phases = np.exp(-1j * np.outer(np.asarray(times, float), self.energies))
-        return (phases * coeff) @ self.modes.T
+        out = np.zeros((phases.shape[0], self.sector.size), dtype=complex)
+        out[:, self.sector] = _apply(self.modes, (phases * coeff).T).T
+        return out
+
+
+def _apply(m, v):
+    # m @ v for complex v without casting a real m to a complex copy
+    return m @ v.real + 1j * (m @ v.imag)
 
 
 def evolve(state, h, t):
     """exp(-iHt) applied to state; norm preserved to 1e-9."""
-    out = SpectralEvolver(h).at(np.asarray(state, dtype=complex), t)
+    out = SpectralEvolver(h, reachable_sector(h, state)).at(state, t)
     norm = np.linalg.norm(out)
     if abs(norm - 1.0) > 1e-9 and abs(np.linalg.norm(state) - 1.0) < 1e-9:
         raise AssertionError(f"norm drift during evolution: {norm!r}")
@@ -190,31 +235,32 @@ def check_convergence(
 ):
     """Grow cutoffs geometrically until Y, n_a, n_b and S stabilize below tol.
 
-    Returns an adequate TruncatedBasis.  With epsilon = 0 and no drive the
-    total photon number is conserved and cutoff N is exact.
+    Returns (basis, evolver): an adequate TruncatedBasis and the
+    SpectralEvolver for |N, 0> on it that the last rung already built.
+    With epsilon = 0 and no drive the total photon number is conserved and
+    cutoff N is exact.
     """
     n0 = params.n_initial
-    if params.epsilon == 0.0 and linear_drive == 0.0:
-        return TruncatedBasis(n0, n0)
-    probes = np.linspace(0.0, float(t_max), n_probe + 1)[1:]
 
-    def panel(cutoff):
+    def rung(cutoff):
         basis = TruncatedBasis(cutoff, cutoff)
         h = build_hamiltonian(params, basis, linear_drive)
-        ev = SpectralEvolver(h)
-        psi0 = fock_state(basis, n0, 0)
-        rows = []
-        for psi in ev.at_times(psi0, probes):
-            obs = observables(psi, basis)
-            rows.append([obs["Y"], obs["mean_na"], obs["mean_nb"], reduced_entropy(psi, basis)])
-        return np.array(rows)
+        return basis, SpectralEvolver(h, reachable_sector(h, fock_state(basis, n0, 0)))
 
+    if params.epsilon == 0.0 and linear_drive == 0.0:
+        return rung(n0)
+    probes = np.linspace(0.0, float(t_max), n_probe + 1)[1:]
     cutoff = max(int(start_cutoff), n0 + 2)
     prev = None
     while cutoff <= ceiling:
-        current = panel(cutoff)
+        basis, ev = rung(cutoff)
+        rows = []
+        for psi in ev.at_times(fock_state(basis, n0, 0), probes):
+            obs = observables(psi, basis)
+            rows.append([obs["Y"], obs["mean_na"], obs["mean_nb"], reduced_entropy(psi, basis)])
+        current = np.array(rows)
         if prev is not None and np.abs(current - prev).max() < tol:
-            return TruncatedBasis(cutoff, cutoff)
+            return basis, ev
         prev = current
         cutoff = min(2 * cutoff, ceiling) if cutoff < ceiling else ceiling + 1
     raise ConvergenceError(

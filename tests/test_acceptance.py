@@ -56,8 +56,9 @@ def test_criterion_2_triple_path_agreement():
     ])
     y_transport = hb.covariance_series(p, t)
     basis = fock.TruncatedBasis(n, n)
-    ev = fock.SpectralEvolver(fock.build_hamiltonian(p, basis))
+    h = fock.build_hamiltonian(p, basis)
     psi0 = fock.fock_state(basis, n, 0)
+    ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
     y_oracle = np.array([
         fock.observables(psi, basis)["Y"] for psi in ev.at_times(psi0, t)
     ])
@@ -124,8 +125,7 @@ def test_criterion_4_propagator_certification():
 def test_criterion_5_pumped_oracle():
     p = ModelParams(1.0, 0.1, 0.1, 5)
     t_max = to_physical_time(1.0, p)
-    basis = fock.check_convergence(p, t_max, tol=1e-6, ceiling=60)
-    ev = fock.SpectralEvolver(fock.build_hamiltonian(p, basis))
+    basis, ev = fock.check_convergence(p, t_max, tol=1e-6, ceiling=60)
     psi0 = fock.fock_state(basis, 5, 0)
     probes = np.linspace(0.0, t_max, 41)
     worst = 0.0
@@ -217,8 +217,9 @@ def test_criterion_9_linear_drive_insensitivity():
     basis = fock.TruncatedBasis(40, 12)
     h0 = fock.build_hamiltonian(p, basis)
     h1 = fock.build_hamiltonian(p, basis, linear_drive=0.1)
-    ev0, ev1 = fock.SpectralEvolver(h0), fock.SpectralEvolver(h1)
     psi0 = fock.fock_state(basis, n, 0)
+    ev0 = fock.SpectralEvolver(h0, fock.reachable_sector(h0, psi0))
+    ev1 = fock.SpectralEvolver(h1, fock.reachable_sector(h1, psi0))
     t = to_physical_time(np.linspace(0.0, 1.0, 41), p)
     worst = 0.0
     for a, b in zip(ev0.at_times(psi0, t), ev1.at_times(psi0, t)):

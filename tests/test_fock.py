@@ -66,7 +66,7 @@ class TestHamiltonian:
         p = ModelParams(1.0, 0.1, 0.1, 0)
         basis = fock.TruncatedBasis(8, 8)
         h = fock.build_hamiltonian(p, basis, linear_drive=0.02)
-        assert np.array_equal(h, h.T)
+        assert (h != h.T).nnz == 0
 
 
 class TestEvolution:
@@ -108,12 +108,74 @@ class TestEvolution:
         p = ModelParams(1.0, 0.1, 0.05, 2)
         basis = fock.TruncatedBasis(16, 16)
         h = fock.build_hamiltonian(p, basis)
-        ev = fock.SpectralEvolver(h)
         psi0 = fock.fock_state(basis, 2, 0)
+        ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
         times = np.array([0.0, 3.0, 17.0])
         batch = ev.at_times(psi0, times)
         for t, row in zip(times, batch):
             np.testing.assert_allclose(row, ev.at(psi0, t), atol=1e-12)
+
+
+def _shell(basis):
+    return np.array([sum(basis.occupation(i)) for i in range(basis.dim)])
+
+
+def _full_basis_states(h, psi0, times):
+    # reference: dense eigh of the whole matrix, no sector reduction
+    energies, modes = np.linalg.eigh(h.toarray())
+    coeff = modes.T @ psi0
+    return np.array([modes @ (np.exp(-1j * energies * t) * coeff) for t in times])
+
+
+class TestSectorEvolver:
+    @pytest.mark.parametrize(
+        "eps, drive, cutoffs, in_sector",
+        [
+            (0.1, 0.0, (16, 16), lambda shell: shell % 2 == 1),
+            (0.1, 0.0, (24, 24), lambda shell: shell % 2 == 1),
+            (0.0, 0.0, (12, 12), lambda shell: shell == 5),
+            (0.0, 0.05, (16, 8), lambda shell: shell >= 0),
+        ],
+        ids=["pumped-16", "pumped-24", "pump-free", "linear-drive"],
+    )
+    def test_matches_full_basis_eigh(self, eps, drive, cutoffs, in_sector):
+        p = ModelParams(1.0, 0.1, eps, 5)
+        basis = fock.TruncatedBasis(*cutoffs)
+        h = fock.build_hamiltonian(p, basis, linear_drive=drive)
+        psi0 = fock.fock_state(basis, 5, 0)
+        ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
+        np.testing.assert_array_equal(ev.sector, in_sector(_shell(basis)))
+        times = to_physical_time(np.array([0.1, 0.37, 1.0]), p)
+        np.testing.assert_allclose(
+            ev.at_times(psi0, times), _full_basis_states(h, psi0, times), rtol=0, atol=1e-12
+        )
+
+    def test_stored_zero_couplings_do_not_join_sectors(self):
+        basis = fock.TruncatedBasis(10, 10)
+        h = fock.build_hamiltonian(ModelParams(1.0, 0.1, 0.1, 5), basis)
+        shell = _shell(basis)
+        rows = np.repeat(np.arange(basis.dim), np.diff(h.indptr))
+        h.data[shell[rows] != shell[h.indices]] = 0.0
+        assert h.count_nonzero() < h.nnz
+        sector = fock.reachable_sector(h, fock.fock_state(basis, 5, 0))
+        np.testing.assert_array_equal(sector, shell == 5)
+
+    def test_state_outside_sector_rejected(self):
+        basis = fock.TruncatedBasis(10, 10)
+        h = fock.build_hamiltonian(ModelParams(1.0, 0.1, 0.1, 5), basis)
+        ev = fock.SpectralEvolver(h, fock.reachable_sector(h, fock.fock_state(basis, 5, 0)))
+        mixed = (fock.fock_state(basis, 5, 0) + fock.fock_state(basis, 4, 0)) / math.sqrt(2.0)
+        with pytest.raises(ValueError, match="outside"):
+            ev.at(fock.fock_state(basis, 4, 0), 1.0)
+        with pytest.raises(ValueError, match="outside"):
+            ev.at_times(mixed, [0.0, 1.0])
+
+    def test_non_invariant_sector_raises(self):
+        # the pump couples neighbouring photon-number shells
+        basis = fock.TruncatedBasis(10, 10)
+        h = fock.build_hamiltonian(ModelParams(1.0, 0.1, 0.1, 5), basis)
+        with pytest.raises(ValueError, match="not invariant"):
+            fock.SpectralEvolver(h, _shell(basis) == 5)
 
 
 class TestObservables:
@@ -176,8 +238,9 @@ class TestEntropy:
 class TestConvergence:
     def test_pump_free_cutoff_is_exact(self):
         p = ModelParams(1.0, 0.1, 0.0, 7)
-        basis = fock.check_convergence(p, 10.0)
+        basis, ev = fock.check_convergence(p, 10.0)
         assert (basis.cutoff_a, basis.cutoff_b) == (7, 7)
+        assert ev.sector.sum() == 8
 
     def test_ceiling_raises(self):
         # deep in the unstable regime no finite cutoff settles
@@ -187,8 +250,20 @@ class TestConvergence:
 
     def test_weak_pump_converges_quickly(self):
         p = ModelParams(1.0, 0.1, 0.02, 2)
-        basis = fock.check_convergence(p, to_physical_time(0.5, p), n_probe=3)
+        basis, _ = fock.check_convergence(p, to_physical_time(0.5, p), n_probe=3)
         assert basis.cutoff_a <= 32
+
+    def test_returned_evolver_matches_fresh_build(self):
+        p = ModelParams(1.0, 0.1, 0.02, 2)
+        times = to_physical_time(np.linspace(0.0, 0.5, 4), p)
+        basis, ev = fock.check_convergence(p, times[-1], n_probe=3)
+        h = fock.build_hamiltonian(p, basis)
+        psi0 = fock.fock_state(basis, 2, 0)
+        fresh = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
+        np.testing.assert_array_equal(ev.sector, fresh.sector)
+        np.testing.assert_allclose(
+            ev.at_times(psi0, times), fresh.at_times(psi0, times), rtol=0, atol=1e-13
+        )
 
 
 class TestAgreementWithTransport:
@@ -203,9 +278,7 @@ class TestAgreementWithTransport:
             n0 = int(rng.integers(1, 6))
             p = ModelParams(1.0, lam, eps, n0)
             t_max = to_physical_time(0.5, p)
-            basis = fock.check_convergence(p, t_max, tol=1e-6, n_probe=3, ceiling=64)
-            h = fock.build_hamiltonian(p, basis)
-            ev = fock.SpectralEvolver(h)
+            basis, ev = fock.check_convergence(p, t_max, tol=1e-6, n_probe=3, ceiling=64)
             psi0 = fock.fock_state(basis, n0, 0)
             for t in np.linspace(0.0, t_max, 5):
                 obs = fock.observables(ev.at(psi0, t), basis)
