@@ -1,7 +1,7 @@
 """Bipartite continuous-variable entanglement of two coupled optical cavities.
 
 Submodules:
-    params        -- model parameters, scaled-time conventions
+    params        -- model parameters, scaled-time conventions, the measure Y
     binomial      -- pump-free closed forms (two-mode binomial states)
     heisenberg    -- pumped dynamics via the 4x4 Bogoliubov propagator
     fock          -- truncated-Fock-space brute-force oracle

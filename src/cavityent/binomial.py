@@ -18,6 +18,8 @@ therefore done on magnitudes.
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from .params import covariance_measure
+
 
 def _log_binomial(n, k):
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
@@ -87,9 +89,7 @@ def covariance_measure_from_state(amplitudes):
     m = state_moments(amps)
     cov_abdag = m["exp_abdag"] - m["mean_a"] * np.conj(m["mean_b"])
     cov_ab = m["exp_ab"] - m["mean_a"] * m["mean_b"]
-    num = abs(cov_abdag) ** 2 + abs(cov_ab) ** 2
-    den = 2.0 * (m["mean_na"] + 0.5) * (m["mean_nb"] + 0.5)
-    return float(np.sqrt(num / den))
+    return float(covariance_measure(cov_ab, cov_abdag, m["mean_na"], m["mean_nb"]))
 
 
 def reduced_spectrum(params, t):

@@ -1,17 +1,21 @@
 """Command-line front end: figure reproduction, sweeps and oracle audits.
 
 Usage:
-    cavityent fig1|fig2|fig3|fig4|fig5|fig6|sweep|oracle-check
-        [--config PATH] [--out PATH] [--format csv|json] [--seed U64]
-        [--omega F] [--lambda F] [--epsilon F] [--n-initial U32]
-        [--t-max-scaled F] [--points U32] ...
+    cavityent SUBCOMMAND [--config PATH] [--KEY VALUE ...]
+
+One table, COMMANDS, says which settings each subcommand takes and which
+keyword argument of its `figures` function each one fills; KEYS says how
+each setting's text is parsed.  Both the flags (`--t-max-scaled`) and the
+config keys (`t_max_scaled = 2.0`) of a subcommand are built from that
+table, so a flag or config key the subcommand does not take is a usage
+error that names it, never silently dropped.  `cavityent SUBCOMMAND -h`
+lists the accepted flags.
 
 Settings resolve as: built-in defaults < config file (key = value lines)
-< command-line flags.  Exit codes: 0 success, 1 usage error, 2 numerical
-tolerance breach, 3 Fock cutoff ceiling.
-
-Config keys mirror the long flag names with underscores, e.g.
-`lambda = 0.05`, `t_max_scaled = 2.0`, `pairs = 0.001,0.1;0.1,0.1`.
+< command-line flags.  Config keys are the long flag names with
+underscores, e.g. `lambda = 0.05`, `pairs = 0.001,0.1;0.1,0.1`.
+Exit codes: 0 success, 1 usage error, 2 numerical tolerance breach,
+3 Fock cutoff ceiling.
 """
 
 import argparse
@@ -67,121 +71,133 @@ def parse_ints(text):
     return tuple(int(v) for v in text.replace(";", ",").split(",") if v.strip())
 
 
-_CONVERT = {
-    "omega": float, "lambda": float, "epsilon": float, "n_initial": int,
-    "t_max_scaled": float, "points": int, "seed": int, "trials": int,
-    "segments": int, "mean_epsilon": float, "eps_max": float, "eps_points": int,
-    "window_scaled": float, "pairs": parse_pairs, "lambdas": parse_floats,
-    "n_values": parse_ints, "spread": str, "format": str, "out": str,
-    "draws": int, "convergence_tol": float,
+def count(text):
+    """An integer >= 1 (grid points, trials, segments, draws)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive(text):
+    """A real number > 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def one_of(*choices):
+    def parse(text):
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
+# setting key -> (parser of its text, help)
+KEYS = {
+    "out": (str, "output path (default stdout)"),
+    "format": (one_of("csv", "json"), "output format (default csv)"),
+    "omega": (float, "mode frequency"),
+    "lambda": (float, "cavity-cavity hopping strength"),
+    "n_initial": (int, "photon number N of the initial |N,0>"),
+    "t_max_scaled": (float, "end time in units of pi/lambda"),
+    "points": (count, "time grid points"),
+    "pairs": (parse_pairs, "semicolon-separated lambda,epsilon pairs"),
+    "lambdas": (parse_floats, "comma-separated hopping strengths"),
+    "n_values": (parse_ints, "comma-separated initial photon numbers"),
+    "eps_max": (float, "largest pump strength of the scan"),
+    "eps_points": (count, "pump strengths in the scan"),
+    "window_scaled": (float, "maximisation window in units of pi/lambda"),
+    "mean_epsilon": (float, "mean pump amplitude"),
+    "trials": (count, "ensemble trials"),
+    "segments": (count, "piecewise-constant pump segments per trial"),
+    "seed": (int, "master seed"),
+    "spread": (one_of("variance", "std"), "pump noise reading of 'one tenth of the mean'"),
+    "draws": (count, "random propagator draws"),
+    "convergence_tol": (positive, "Fock cutoff convergence tolerance"),
 }
 
-
-def _resolve(args):
-    """Merge defaults, config file and flags into one settings dict."""
-    settings = {}
-    if args.config:
-        for key, raw in parse_config_file(args.config).items():
-            if key not in _CONVERT:
-                raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _CONVERT[key](raw)
-    for key in _CONVERT:
-        flag = getattr(args, key.replace("-", "_"), None) if key != "lambda" else args.lam
-        if flag is not None:
-            settings[key] = flag
-    return settings
-
-
-def _add_common(p):
-    p.add_argument("--config", help="key = value settings file")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.add_argument("--seed", type=int, help="master seed for randomized subcommands")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--n-initial", dest="n_initial", type=int)
-    p.add_argument("--t-max-scaled", dest="t_max_scaled", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--segments", type=int)
-    p.add_argument("--mean-epsilon", dest="mean_epsilon", type=float)
-    p.add_argument("--eps-max", dest="eps_max", type=float)
-    p.add_argument("--eps-points", dest="eps_points", type=int)
-    p.add_argument("--window-scaled", dest="window_scaled", type=float)
-    p.add_argument("--pairs", type=parse_pairs, help="semicolon-separated lambda,epsilon pairs")
-    p.add_argument("--lambdas", type=parse_floats)
-    p.add_argument("--n-values", dest="n_values", type=parse_ints)
-    p.add_argument("--spread", choices=("variance", "std"))
-    p.add_argument("--draws", type=int)
-    p.add_argument("--convergence-tol", dest="convergence_tol", type=float)
+# subcommand -> (name of its figures function, looked up when called,
+# {setting key: its keyword argument}).  `out` and `format` map to None:
+# the CLI itself uses them to write the result.
+_OUTPUT = {"out": None, "format": None}
+_MODEL = {"omega": "omega", "n_initial": "n_initial"}
+_TRACE = {"t_max_scaled": "t_max_scaled", "points": "points"}
+_SCAN = {"eps_max": "eps_max", "eps_points": "eps_points", "points": "points",
+         "window_scaled": "window_scaled"}
+COMMANDS = {
+    "fig1": ("fig1", {**_OUTPUT, "omega": "omega", "lambda": "lam", **_TRACE,
+                      "n_values": "n_values"}),
+    "fig2": ("fig2", {**_OUTPUT, **_MODEL, "lambda": "lam", **_TRACE}),
+    "fig3": ("fig3", {**_OUTPUT, **_MODEL, "pairs": "pairs", **_TRACE}),
+    "fig4": ("fig4", {**_OUTPUT, **_MODEL, "pairs": "pairs", **_TRACE}),
+    "fig5": ("fig5", {**_OUTPUT, **_MODEL, "lambdas": "lambdas", **_SCAN}),
+    "sweep": ("sweep", {**_OUTPUT, **_MODEL, "lambda": "lam", **_SCAN}),
+    "fig6": ("fig6", {**_OUTPUT, **_MODEL, "lambdas": "lambdas",
+                      "mean_epsilon": "mean_epsilon", "trials": "n_trials",
+                      "segments": "n_segments", "t_max_scaled": "total_scaled_time",
+                      "seed": "master_seed", "spread": "spread"}),
+    "oracle-check": ("oracle_check", {"out": None, **_MODEL, "seed": "seed",
+                                      "draws": "n_random_draws",
+                                      "convergence_tol": "convergence_tol"}),
+}
+REQUIRED = {"sweep": ("lambda",)}
 
 
-def _pick(settings, mapping):
-    return {dst: settings[src] for src, dst in mapping.items() if src in settings}
-
-
-def _run_figure(name, settings):
-    common = {"omega": "omega", "n_initial": "n_initial"}
-    if name == "fig1":
-        kw = _pick(settings, {"omega": "omega", "lambda": "lam",
-                              "t_max_scaled": "t_max_scaled", "points": "points",
-                              "n_values": "n_values"})
-        return figures.fig1(**kw)
-    if name == "fig2":
-        kw = _pick(settings, {**common, "lambda": "lam",
-                              "t_max_scaled": "t_max_scaled", "points": "points"})
-        return figures.fig2(**kw)
-    if name in ("fig3", "fig4"):
-        kw = _pick(settings, {**common, "pairs": "pairs",
-                              "t_max_scaled": "t_max_scaled", "points": "points"})
-        return (figures.fig3 if name == "fig3" else figures.fig4)(**kw)
-    if name == "fig5":
-        kw = _pick(settings, {**common, "lambdas": "lambdas", "eps_max": "eps_max",
-                              "eps_points": "eps_points", "points": "points",
-                              "window_scaled": "window_scaled"})
-        return figures.fig5(**kw)
-    if name == "sweep":
-        if "lambda" not in settings:
-            raise ValueError("sweep requires --lambda")
-        kw = _pick(settings, {**common, "eps_max": "eps_max", "eps_points": "eps_points",
-                              "points": "points", "window_scaled": "window_scaled"})
-        return figures.sweep(settings["lambda"], **kw)
-    if name == "fig6":
-        kw = _pick(settings, {**common, "lambdas": "lambdas",
-                              "mean_epsilon": "mean_epsilon", "trials": "n_trials",
-                              "segments": "n_segments", "t_max_scaled": "total_scaled_time",
-                              "seed": "master_seed", "spread": "spread"})
-        return figures.fig6(**kw)
-    raise ValueError(f"unknown subcommand {name!r}")
-
-
-def main(argv=None):
+def build_parser():
     parser = _Parser(prog="cavityent",
                      description="coupled-cavity entanglement dynamics toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "sweep", "oracle-check"):
-        _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
+    for name, (_, keys) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)  # --lambda must not abbreviate --lambdas
+        p.add_argument("--config", help="key = value settings file")
+        for key in keys:
+            parse, help_text = KEYS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=parse, help=help_text)
+    return parser
 
+
+def _resolve(args):
+    """Merge config file and flags into one settings dict for args.subcommand."""
+    keys = COMMANDS[args.subcommand][1]
+    settings = {}
+    if args.config:
+        for key, raw in parse_config_file(args.config).items():
+            if key not in keys:
+                raise ValueError(f"{args.subcommand} does not take config key {key!r}")
+            try:
+                settings[key] = KEYS[key][0](raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+    flags = vars(args)
+    settings.update({key: flags[key] for key in keys if flags[key] is not None})
+    for key in REQUIRED.get(args.subcommand, ()):
+        if key not in settings:
+            raise ValueError(f"{args.subcommand} requires --{key.replace('_', '-')}")
+    return settings
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
         settings = _resolve(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
-    fmt = settings.get("format", "csv")
+    function, keys = COMMANDS[args.subcommand]
+    kwargs = {keys[key]: value for key, value in settings.items() if keys[key]}
     out = settings.get("out")
     try:
+        result = getattr(figures, function)(**kwargs)
         if args.subcommand == "oracle-check":
-            kw = _pick(settings, {"omega": "omega", "n_initial": "n_initial",
-                                  "seed": "seed", "draws": "n_random_draws",
-                                  "convergence_tol": "convergence_tol"})
-            report, ok = figures.oracle_check(**kw)
+            report, ok = result
             serialize.write_report(report, out)
             return EXIT_OK if ok else EXIT_TOLERANCE
-        columns, meta = _run_figure(args.subcommand, settings)
-        serialize.write_table(columns, meta, out, fmt)
+        columns, meta = result
+        serialize.write_table(columns, meta, out, settings.get("format", "csv"))
         return EXIT_OK
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")

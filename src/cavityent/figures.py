@@ -8,7 +8,7 @@ layouts are part of the CLI contract and must stay stable.
 import numpy as np
 
 from . import binomial, fluctuations, fock, heisenberg
-from .params import ModelParams, to_physical_time, validate
+from .params import ModelParams, covariance_measure, to_physical_time, validate
 
 FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
@@ -72,12 +72,6 @@ def fig4(pairs=FIG4_PAIRS, omega=1.0, n_initial=5, t_max_scaled=1.0, points=2001
     return columns, meta
 
 
-def max_covariance_over_window(params, window_scaled, points=8001):
-    """Max of Y(t) for 0 <= t <= window_scaled (scaled units)."""
-    t = to_physical_time(np.linspace(0.0, window_scaled, points), params)
-    return float(heisenberg.covariance_series(params, t).max())
-
-
 def fig5(
     lambdas=FIG5_LAMBDAS,
     omega=1.0,
@@ -122,13 +116,10 @@ def fig5(
 
 def sweep(lam, omega=1.0, n_initial=5, eps_max=0.5, eps_points=26,
           window_scaled=2.0, points=8001):
-    """Single-lambda version of fig5: epsilon against max Y."""
-    eps_grid = np.linspace(0.0, eps_max, eps_points)
-    max_y = np.empty(eps_points)
-    for i, eps in enumerate(eps_grid):
-        params = validate(ModelParams(omega, lam, float(eps), n_initial))
-        max_y[i] = max_covariance_over_window(params, window_scaled, points)
-    columns = {"epsilon": eps_grid, "max_Y": max_y}
+    """fig5 for one lambda and no sensitivity windows: epsilon against max Y."""
+    scan, _ = fig5((lam,), omega, n_initial, eps_max, eps_points, window_scaled, points,
+                   sensitivity_windows=())
+    columns = {"epsilon": scan["epsilon"], "max_Y": scan[f"max_Y_lam{lam:g}"]}
     meta = {"omega": omega, "lambda": lam, "n_initial": n_initial,
             "eps_max": eps_max, "eps_points": eps_points,
             "window_scaled": window_scaled, "points": points}
@@ -249,17 +240,18 @@ def oracle_check(
     basis, ev = fock.check_convergence(p, t_max, tol=convergence_tol)
     psi0 = fock.fock_state(basis, p.n_initial, 0)
     probes = np.linspace(0.0, t_max, 17)[1:]
+    cab, cabd, na, nb = heisenberg.transported_moment_arrays(p, probes)
+    y = covariance_measure(cab, cabd, na, nb)
     max_dev = 0.0
-    for t, psi in zip(probes, ev.at_times(psi0, probes)):
+    for k, psi in enumerate(ev.at_times(psi0, probes)):
         obs = fock.observables(psi, basis)
-        mom = heisenberg.moments_transport(p, t)
         max_dev = max(
             max_dev,
-            abs(obs["cov_ab"] - mom.cov_ab),
-            abs(obs["cov_ab_dagger"] - mom.cov_ab_dagger),
-            abs(obs["mean_na"] - mom.mean_na),
-            abs(obs["mean_nb"] - mom.mean_nb),
-            abs(obs["Y"] - heisenberg.covariance_measure(mom)),
+            abs(obs["cov_ab"] - cab[k]),
+            abs(obs["cov_ab_dagger"] - cabd[k]),
+            abs(obs["mean_na"] - na[k]),
+            abs(obs["mean_nb"] - nb[k]),
+            abs(obs["Y"] - y[k]),
         )
     pumped = {"lambda": lam_p, "epsilon": eps_p, "cutoff": basis.cutoff_a,
               "max_deviation": float(max_dev),

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heisenberg
+from .params import covariance_measure
 
 RESCALE_THRESHOLD = 1e100
 
@@ -73,12 +74,6 @@ def sample_schedule(mean, n_segments=100, total_scaled_time=5.0, seed=0, spread=
     return FluctuationSchedule(float(mean), int(n_segments), float(total_scaled_time), values, seed)
 
 
-def _measure(g, half):
-    num = abs(g[0, 3]) ** 2 + abs(g[0, 1]) ** 2
-    den = 2.0 * (g[2, 0].real + half) * (g[3, 1].real + half)
-    return math.sqrt(num / den) if den > 0 else 0.0
-
-
 def propagate_piecewise(params, schedule):
     """Y at every segment boundary under the piecewise-constant pump.
 
@@ -89,17 +84,20 @@ def propagate_piecewise(params, schedule):
     dt = schedule.segment_duration(params)
     g = heisenberg.initial_moments(params.n_initial)
     log_scale = 0.0
-    y = np.empty(schedule.n_segments + 1)
-    y[0] = _measure(g, 0.5)
+    moments = np.empty((schedule.n_segments + 1, 4, 4), dtype=complex)
+    half = np.empty(schedule.n_segments + 1)
+    moments[0], half[0] = g, 0.5
     for k, eps_k in enumerate(schedule.values):
-        s = heisenberg.propagator(params.with_epsilon(eps_k), dt)
+        s = heisenberg.propagators(params.with_epsilon(eps_k), dt)
         g = s @ g @ s.T
         peak = np.abs(g).max()
         if peak > RESCALE_THRESHOLD:
             g /= peak
             log_scale += math.log(peak)
-        half = 0.5 * math.exp(-log_scale) if log_scale < 700.0 else 0.0
-        y[k + 1] = _measure(g, half)
+        moments[k + 1] = g
+        half[k + 1] = 0.5 * math.exp(-log_scale) if log_scale < 700.0 else 0.0
+    y = covariance_measure(moments[:, 0, 1], moments[:, 0, 3],
+                           moments[:, 2, 0].real, moments[:, 3, 1].real, half)
     t_scaled = np.linspace(0.0, schedule.total_scaled_time, schedule.n_segments + 1)
     return t_scaled, y
 

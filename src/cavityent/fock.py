@@ -20,8 +20,11 @@ check_convergence, never assumed either.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.special import xlogy
+
+from .params import covariance_measure
 
 
 class ConvergenceError(RuntimeError):
@@ -122,7 +125,10 @@ class SpectralEvolver:
         outside = np.flatnonzero(~self.sector)
         if h[inside][:, outside].count_nonzero() or h[outside][:, inside].count_nonzero():
             raise ValueError("sector is not invariant under H: it couples to the rest of the basis")
-        self.energies, self.modes = np.linalg.eigh(h[inside][:, inside].toarray())
+        # the densified block is a temporary: LAPACK overwrites it in place,
+        # without a copy because it is laid out in Fortran order
+        block = h[inside][:, inside].toarray(order="F")
+        self.energies, self.modes = scipy.linalg.eigh(block, overwrite_a=True, driver="evd")
 
     def at(self, psi0, t):
         return self.at_times(psi0, [t])[0]
@@ -197,10 +203,6 @@ def observables(state, basis):
     # which is what makes Y exactly insensitive to a linear drive
     nbar_a = mean_na - abs(mean_a) ** 2
     nbar_b = mean_nb - abs(mean_b) ** 2
-    y = np.sqrt(
-        (abs(cov_abdag) ** 2 + abs(cov_ab) ** 2)
-        / (2.0 * (nbar_a + 0.5) * (nbar_b + 0.5))
-    )
     return {
         "mean_a": mean_a,
         "mean_b": mean_b,
@@ -210,7 +212,7 @@ def observables(state, basis):
         "cov_ab_dagger": cov_abdag,
         "mean_na": mean_na,
         "mean_nb": mean_nb,
-        "Y": float(y),
+        "Y": float(covariance_measure(cov_ab, cov_abdag, nbar_a, nbar_b)),
     }
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from .params import covariance_measure
+
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0])
 
 DEGENERACY_TOL = 1e-10
@@ -47,14 +49,6 @@ class StructureFunctions:
     x: complex
     y_coef: complex
     z_coef: complex
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    cov_ab: complex
-    cov_ab_dagger: complex
-    mean_na: float
-    mean_nb: float
 
 
 def build_matrix(params):
@@ -141,25 +135,19 @@ def _matrix_powers(m):
     return np.stack([np.eye(4, dtype=complex), m, m2, m2 @ m])
 
 
-def propagator(params, t):
-    """S(t) = exp(-i t M): Cayley-Hamilton path with dense-expm fallback."""
+def propagators(params, t):
+    """S(t) = exp(-i t M) for a scalar or array t; shape t.shape + (4, 4).
+
+    Cayley-Hamilton path, with a dense-expm fallback at degenerate spectra.
+    """
+    t = np.asarray(t, dtype=float)
     m = build_matrix(params)
     try:
         c = ch_coefficients(spectral(params, verify=False), t)
     except DegenerateSpectrumError:
-        return expm(-1j * t * m)
-    return np.einsum("k,kij->ij", c, _matrix_powers(m))
-
-
-def propagators(params, times):
-    """Vectorized S(t) over a time array; shape (len(times), 4, 4)."""
-    times = np.asarray(times, dtype=float)
-    m = build_matrix(params)
-    try:
-        c = ch_coefficients(spectral(params, verify=False), times)
-    except DegenerateSpectrumError:
-        return np.stack([expm(-1j * t * m) for t in times])
-    return np.einsum("tk,kij->tij", c, _matrix_powers(m))
+        dense = [expm(-1j * tk * m) for tk in t.ravel()]
+        return np.reshape(dense, t.shape + (4, 4))
+    return np.einsum("...k,kij->...ij", c, _matrix_powers(m))
 
 
 def structure_functions(params, t, sign_omega=1, sign_lambda=1):
@@ -170,7 +158,7 @@ def structure_functions(params, t, sign_omega=1, sign_lambda=1):
     depend on omega^2 and lambda^2 and are sign-invariant.
     """
     sd = spectral(params, verify=False)
-    c0, c1, c2, c3 = ch_coefficients(sd, t)
+    c0, c1, c2, c3 = np.moveaxis(ch_coefficients(sd, t), -1, 0)
     w = sign_omega * params.omega
     l = sign_lambda * params.lam
     e = params.epsilon
@@ -194,29 +182,24 @@ def initial_moments(n_initial):
     return g
 
 
-def transported_moment_arrays(params, times):
-    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) arrays over a time grid.
+def transported_moment_arrays(params, t):
+    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> at a scalar or array t.
 
-    First moments of |N,0> vanish and stay zero under the homogeneous
-    equations, so covariances equal raw second moments.
+    Second moments are carried by the congruence G(t) = S G(0) S^T.  First
+    moments of |N,0> vanish and stay zero under the homogeneous equations,
+    so covariances equal raw second moments.
     """
-    s = propagators(params, times)
+    s = propagators(params, t)
     g0 = initial_moments(params.n_initial)
-    g = np.einsum("tik,kl,tjl->tij", s, g0, s)
-    return g[:, 0, 1], g[:, 0, 3], g[:, 2, 0].real, g[:, 3, 1].real
-
-
-def moments_transport(params, t):
-    """Second moments of |N,0> at time t via the propagator congruence."""
-    cab, cabd, na, nb = transported_moment_arrays(params, [t])
-    return MomentSet(complex(cab[0]), complex(cabd[0]), float(na[0]), float(nb[0]))
+    g = np.einsum("...ik,kl,...jl->...ij", s, g0, s)
+    return g[..., 0, 1], g[..., 0, 3], g[..., 2, 0].real, g[..., 3, 1].real
 
 
 def moments_closed_form(params, t):
     """The published moment formulas, evaluated verbatim (audit path).
 
-    Any disagreement with moments_transport is data for the audit report;
-    the transport path stays authoritative.
+    Same layout as transported_moment_arrays; any disagreement with it is
+    data for the audit report, the transport path stays authoritative.
     """
     n = params.n_initial
     f_pp = structure_functions(params, t, +1, +1)
@@ -226,43 +209,21 @@ def moments_closed_form(params, t):
     cov_abd = (1 + n) * f_pp.u * f_mm.v + n * f_pp.w * f_mp.y_coef + f_pp.v * f_mm.x
     mean_na = (1 + n) * f_pp.u * f_mm.u - n * f_pp.w ** 2 + f_pp.v * f_mm.v - 1.0
     mean_nb = (1 + n) * f_pp.v * f_mm.v + n * f_pp.y_coef * f_mp.y_coef + f_pp.x * f_mm.x - 1.0
-    return MomentSet(complex(cov_ab), complex(cov_abd), complex(mean_na).real, complex(mean_nb).real)
+    return cov_ab, cov_abd, np.real(mean_na), np.real(mean_nb)
 
 
-def covariance_measure(moments, vacuum_half=0.5):
-    """Entanglement measure Y from a MomentSet.
-
-    vacuum_half rescales the +1/2 vacuum terms; the fluctuation module
-    uses it when moments are carried with an extracted scale factor.
-    """
-    num = abs(moments.cov_ab_dagger) ** 2 + abs(moments.cov_ab) ** 2
-    den = 2.0 * (moments.mean_na + vacuum_half) * (moments.mean_nb + vacuum_half)
-    return float(np.sqrt(num / den))
+def covariance_series(params, t):
+    """Y via moment transport at a scalar or array t."""
+    return covariance_measure(*transported_moment_arrays(params, t))
 
 
-def covariance_series(params, times):
-    """Y(t) over a time grid via moment transport (vectorized)."""
-    cab, cabd, na, nb = transported_moment_arrays(params, times)
-    num = np.abs(cabd) ** 2 + np.abs(cab) ** 2
-    den = 2.0 * (na + 0.5) * (nb + 0.5)
-    return np.sqrt(num / den)
-
-
-def photon_ratio_series(params, times):
-    """|n_a - n_b| / (n_a + n_b) over a time grid."""
-    _, _, na, nb = transported_moment_arrays(params, times)
+def photon_ratio_series(params, t):
+    """|n_a - n_b| / (n_a + n_b) at a scalar or array t."""
+    _, _, na, nb = transported_moment_arrays(params, t)
     total = na + nb
     if np.any(total <= 0):
         raise ValueError("photon difference ratio undefined at zero total photons")
     return np.abs(na - nb) / total
-
-
-def photon_difference_ratio(moments):
-    """|n_a - n_b| / (n_a + n_b) for a single MomentSet."""
-    total = moments.mean_na + moments.mean_nb
-    if total <= 0:
-        raise ValueError("photon difference ratio undefined at zero total photons")
-    return abs(moments.mean_na - moments.mean_nb) / total
 
 
 def closed_form_audit(params, times):
@@ -270,15 +231,11 @@ def closed_form_audit(params, times):
 
     Returns per-quantity maximum absolute deviations over the grid.
     """
-    dev = {"cov_ab": 0.0, "cov_ab_dagger": 0.0, "mean_na": 0.0, "mean_nb": 0.0}
-    for t in np.asarray(times, dtype=float):
-        ref = moments_transport(params, t)
-        aud = moments_closed_form(params, t)
-        dev["cov_ab"] = max(dev["cov_ab"], abs(aud.cov_ab - ref.cov_ab))
-        dev["cov_ab_dagger"] = max(dev["cov_ab_dagger"], abs(aud.cov_ab_dagger - ref.cov_ab_dagger))
-        dev["mean_na"] = max(dev["mean_na"], abs(aud.mean_na - ref.mean_na))
-        dev["mean_nb"] = max(dev["mean_nb"], abs(aud.mean_nb - ref.mean_nb))
-    return dev
+    times = np.asarray(times, dtype=float)
+    reference = transported_moment_arrays(params, times)
+    audited = moments_closed_form(params, times)
+    keys = ("cov_ab", "cov_ab_dagger", "mean_na", "mean_nb")
+    return {k: float(np.abs(a - r).max(initial=0.0)) for k, a, r in zip(keys, audited, reference)}
 
 
 def ch_sign_audit(params, times):

@@ -1,4 +1,4 @@
-"""Model parameters and scaled-time conventions for the coupled-cavity system.
+"""Model parameters, scaled-time conventions and the entanglement measure Y.
 
 All quantities are in dimensionless (scaled) units.  Time is often quoted
 in units of pi/lambda, the period of the pump-free photon exchange between
@@ -7,6 +7,8 @@ the two cavities.
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,22 @@ def validate(params):
     if problems:
         raise ValueError("invalid parameters: " + "; ".join(problems))
     return params
+
+
+def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):
+    """Dodonov's covariance entanglement measure Y, elementwise over arrays.
+
+        Y = sqrt( (|cov(a,b^dag)|^2 + |cov(a,b)|^2) / (2 (nbar_a + h)(nbar_b + h)) )
+
+    with h = vacuum_half, the +1/2 vacuum term (smaller when the moments are
+    carried divided by a scale factor).  Where the denominator is not
+    positive, Y is 0.  Every route computes Y through this one function.
+    """
+    # asarray: scalars take the array arithmetic, so both agree bit for bit
+    num = np.abs(np.asarray(cov_ab_dagger)) ** 2 + np.abs(np.asarray(cov_ab)) ** 2
+    den = 2.0 * (np.asarray(nbar_a) + vacuum_half) * (np.asarray(nbar_b) + vacuum_half)
+    ratio = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
+    return np.sqrt(ratio)
 
 
 def to_physical_time(s, params):

@@ -1,4 +1,6 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,46 @@ import pytest
 from cavityent import cli, figures, serialize
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_usage(argv, capsys):
+    """Exit code and stderr of a run that argparse itself may end."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+# every (subcommand, key) pair the table does not accept; `epsilon` is no
+# key at all and so is rejected everywhere
+_UNTAKEN = [
+    (name, key)
+    for name, (_, keys) in cli.COMMANDS.items()
+    for key in [*cli.KEYS, "epsilon"]
+    if key not in keys
+]
+
+# (subcommand, key, value) for every key that must be a count >= 1 or positive
+_NON_POSITIVE = [
+    ("fig1", "points", "0"),
+    ("fig3", "points", "0"),
+    ("fig5", "points", "0"),
+    ("fig5", "eps_points", "0"),
+    ("fig6", "trials", "0"),
+    ("fig6", "segments", "0"),
+    ("oracle-check", "draws", "0"),
+    ("oracle-check", "draws", "-3"),
+    ("oracle-check", "convergence_tol", "0"),
+    ("oracle-check", "convergence_tol", "-1e-6"),
+]
 
 
 class TestParsing:
@@ -185,3 +223,55 @@ class TestCliEndToEnd:
             "pump_free_triple_path", "ch_vs_dense_exponential",
             "published_moment_formulas_audit", "pumped_transport_vs_oracle",
         }
+
+
+class TestCommandTable:
+    def test_every_key_has_a_parser(self):
+        for _, keys in cli.COMMANDS.values():
+            assert set(keys) <= set(cli.KEYS)
+
+    def test_every_key_maps_to_a_keyword_of_its_function(self):
+        for function, keys in cli.COMMANDS.values():
+            params = inspect.signature(getattr(figures, function)).parameters
+            for kwarg in keys.values():
+                assert kwarg is None or kwarg in params
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_config_keys_are_accepted(self, path):
+        keys = cli.COMMANDS[path.stem][1]
+        assert set(cli.parse_config_file(path)) <= set(keys)
+
+    @pytest.mark.parametrize("name,key", _UNTAKEN, ids=lambda v: v)
+    def test_untaken_flag_is_usage_error(self, name, key, capsys):
+        flag = "--" + key.replace("_", "-")
+        code, err = run_cli_usage([name, flag, "1"], capsys)
+        assert code == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("name,key", _UNTAKEN, ids=lambda v: v)
+    def test_untaken_config_key_is_usage_error(self, name, key, tmp_path, capsys):
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, err = run_cli_usage([name, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert repr(key) in err
+
+    def test_fig3_epsilon_is_rejected(self, capsys):
+        code, err = run_cli_usage(["fig3", "--points", "5", "--epsilon", "0.3"], capsys)
+        assert code == 1
+        assert "--epsilon" in err
+
+    @pytest.mark.parametrize("name,key,value", _NON_POSITIVE, ids=lambda v: v)
+    def test_non_positive_flag_is_usage_error(self, name, key, value, capsys):
+        flag = "--" + key.replace("_", "-")
+        code, err = run_cli_usage([name, flag, value], capsys)
+        assert code == 1
+        assert flag in err
+
+    @pytest.mark.parametrize("name,key,value", _NON_POSITIVE, ids=lambda v: v)
+    def test_non_positive_config_value_is_usage_error(self, name, key, value, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, err = run_cli_usage([name, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert repr(key) in err

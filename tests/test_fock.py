@@ -282,6 +282,6 @@ class TestAgreementWithTransport:
             psi0 = fock.fock_state(basis, n0, 0)
             for t in np.linspace(0.0, t_max, 5):
                 obs = fock.observables(ev.at(psi0, t), basis)
-                y_ref = hb.covariance_measure(hb.moments_transport(p, t))
+                y_ref = hb.covariance_series(p, t)
                 worst = max(worst, abs(obs["Y"] - y_ref))
         assert worst < 1e-5

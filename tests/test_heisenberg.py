@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from cavityent import binomial as bi
 from cavityent import heisenberg as hb
-from cavityent.params import ModelParams, to_physical_time
+from cavityent.params import ModelParams, covariance_measure, to_physical_time
 
 
 def rel_err(a, b):
@@ -86,13 +86,13 @@ class TestChCoefficients:
 
 class TestPropagator:
     def test_identity_at_t0(self):
-        s = hb.propagator(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
+        s = hb.propagators(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
         np.testing.assert_allclose(s, np.eye(4), atol=1e-14)
 
     def test_pump_free_reduction_to_two_by_two(self):
         p = ModelParams(1.0, 0.1, 0.0, 5)
         t = 7.3
-        s = hb.propagator(p, t)
+        s = hb.propagators(p, t)
         block = expm(-1j * t * np.array([[1.0, 0.1], [0.1, 1.0]]))
         np.testing.assert_allclose(s[:2, :2], block, atol=1e-12)
         assert np.abs(s[:2, 2:]).max() < 1e-12
@@ -102,7 +102,7 @@ class TestPropagator:
         for _ in range(200):
             p = ModelParams(1.0, rng.uniform(1e-3, 0.2), rng.uniform(0.0, 0.5), 5)
             t = rng.uniform(0.0, 2.0) * math.pi / p.lam
-            s = hb.propagator(p, t)
+            s = hb.propagators(p, t)
             assert rel_err(s, expm(-1j * t * hb.build_matrix(p))) < 1e-9
             # symplectic condition, scaled by ||S||^2 since the products
             # in S Sigma S^dag grow quadratically in unstable draws
@@ -114,12 +114,12 @@ class TestPropagator:
         for _ in range(50):
             p = ModelParams(1.0, rng.uniform(1e-3, 0.2), rng.uniform(0.0, 0.4), 5)
             t1, t2 = rng.uniform(0, 30, 2)
-            s12 = hb.propagator(p, t1 + t2)
-            assert rel_err(hb.propagator(p, t2) @ hb.propagator(p, t1), s12) < 1e-9
+            s12 = hb.propagators(p, t1 + t2)
+            assert rel_err(hb.propagators(p, t2) @ hb.propagators(p, t1), s12) < 1e-9
 
     def test_conjugation_structure(self):
         p = ModelParams(1.0, 0.07, 0.21, 5)
-        s = hb.propagator(p, 11.0)
+        s = hb.propagators(p, 11.0)
         # rows for (a^dag, b^dag) mirror rows for (a, b) with the block swap
         swap = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
         np.testing.assert_allclose(s[2:, :], np.conj(swap @ s @ swap)[2:, :], atol=1e-12)
@@ -127,15 +127,24 @@ class TestPropagator:
     def test_degenerate_fallback_is_total(self):
         # lambda = 0 (and epsilon = 0) collapses the spectrum; dense path takes over
         p = ModelParams(1.0, 0.0, 0.0, 3)
-        s = hb.propagator(p, 2.0)
+        s = hb.propagators(p, 2.0)
         np.testing.assert_allclose(s, expm(-1j * 2.0 * hb.build_matrix(p)), atol=1e-12)
 
     def test_vectorized_matches_scalar(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
         times = np.linspace(0.0, 20.0, 7)
         stack = hb.propagators(p, times)
+        assert stack.shape == (7, 4, 4)
         for t, s in zip(times, stack):
-            np.testing.assert_allclose(s, hb.propagator(p, t), atol=1e-12)
+            assert hb.propagators(p, t).shape == (4, 4)
+            np.testing.assert_allclose(s, hb.propagators(p, t), atol=1e-12)
+
+    def test_degenerate_fallback_keeps_time_shape(self):
+        p = ModelParams(1.0, 0.0, 0.0, 3)
+        times = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        stack = hb.propagators(p, times)
+        assert stack.shape == (2, 3, 4, 4)
+        np.testing.assert_array_equal(stack[0, 2], hb.propagators(p, 2.0))
 
 
 class TestStructureFunctions:
@@ -159,19 +168,28 @@ class TestStructureFunctions:
 
 class TestMoments:
     def test_initial_moments(self):
-        m = hb.moments_transport(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
-        assert m.cov_ab == pytest.approx(0.0, abs=1e-12)
-        assert m.cov_ab_dagger == pytest.approx(0.0, abs=1e-12)
-        assert m.mean_na == pytest.approx(5.0, abs=1e-12)
-        assert m.mean_nb == pytest.approx(0.0, abs=1e-12)
+        cab, cabd, na, nb = hb.transported_moment_arrays(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
+        assert cab == pytest.approx(0.0, abs=1e-12)
+        assert cabd == pytest.approx(0.0, abs=1e-12)
+        assert na == pytest.approx(5.0, abs=1e-12)
+        assert nb == pytest.approx(0.0, abs=1e-12)
 
     def test_pump_free_quarter_period(self):
         p = ModelParams(1.0, 0.1, 0.0, 5)
-        m = hb.moments_transport(p, to_physical_time(0.25, p))
-        assert abs(m.cov_ab_dagger) == pytest.approx(2.5, abs=1e-10)
-        assert abs(m.cov_ab) == pytest.approx(0.0, abs=1e-10)
-        assert m.mean_na == pytest.approx(2.5, abs=1e-10)
-        assert m.mean_nb == pytest.approx(2.5, abs=1e-10)
+        cab, cabd, na, nb = hb.transported_moment_arrays(p, to_physical_time(0.25, p))
+        assert abs(cabd) == pytest.approx(2.5, abs=1e-10)
+        assert abs(cab) == pytest.approx(0.0, abs=1e-10)
+        assert na == pytest.approx(2.5, abs=1e-10)
+        assert nb == pytest.approx(2.5, abs=1e-10)
+
+    def test_scalar_time_matches_grid(self):
+        p = ModelParams(1.0, 0.07, 0.21, 5)
+        times = np.linspace(0.0, 40.0, 9)
+        grid = hb.transported_moment_arrays(p, times)
+        for k, t in enumerate(times):
+            for scalar, column in zip(hb.transported_moment_arrays(p, t), grid):
+                assert np.shape(scalar) == ()
+                assert scalar == column[k]
 
     def test_pump_free_equivalence_to_closed_form(self):
         p = ModelParams(1.0, 0.1, 0.0, 5)
@@ -186,7 +204,7 @@ class TestMoments:
         assert na.min() > -1e-9 and nb.min() > -1e-9
 
     def test_covariance_measure_zero_for_product_moments(self):
-        assert hb.covariance_measure(hb.MomentSet(0j, 0j, 5.0, 0.0)) == 0.0
+        assert covariance_measure(0j, 0j, 5.0, 0.0) == 0.0
 
     def test_peak_y_for_equal_couplings(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
@@ -196,14 +214,18 @@ class TestMoments:
 
 class TestPhotonDifferenceRatio:
     def test_all_photons_one_mode(self):
-        assert hb.photon_difference_ratio(hb.MomentSet(0j, 0j, 5.0, 0.0)) == 1.0
+        # |5,0> at t = 0
+        assert hb.photon_ratio_series(ModelParams(1.0, 0.1, 0.1, 5), 0.0) == 1.0
 
     def test_equal_means(self):
-        assert hb.photon_difference_ratio(hb.MomentSet(0j, 0j, 2.5, 2.5)) == 0.0
+        # pump-free quarter period: the photons are split evenly
+        p = ModelParams(1.0, 0.1, 0.0, 5)
+        ratio = hb.photon_ratio_series(p, to_physical_time(0.25, p))
+        assert ratio == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
-            hb.photon_difference_ratio(hb.MomentSet(0j, 0j, 0.0, 0.0))
+            hb.photon_ratio_series(ModelParams(1.0, 0.1, 0.0, 0), 0.0)
 
     def test_weak_hopping_ratio_stays_high(self):
         p = ModelParams(1.0, 0.001, 0.1, 5)
@@ -224,11 +246,19 @@ class TestPhotonDifferenceRatio:
 
 class TestAudits:
     def test_closed_form_audit_consistent_at_t0(self):
-        aud = hb.moments_closed_form(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
-        assert aud.cov_ab == pytest.approx(0.0, abs=1e-12)
-        assert aud.cov_ab_dagger == pytest.approx(0.0, abs=1e-12)
-        assert aud.mean_na == pytest.approx(5.0, abs=1e-12)
-        assert aud.mean_nb == pytest.approx(0.0, abs=1e-12)
+        cab, cabd, na, nb = hb.moments_closed_form(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
+        assert cab == pytest.approx(0.0, abs=1e-12)
+        assert cabd == pytest.approx(0.0, abs=1e-12)
+        assert na == pytest.approx(5.0, abs=1e-12)
+        assert nb == pytest.approx(0.0, abs=1e-12)
+
+    def test_closed_form_grid_matches_scalar_times(self):
+        p = ModelParams(1.0, 0.1, 0.1, 5)
+        times = np.linspace(0.0, 31.4, 9)
+        grid = hb.moments_closed_form(p, times)
+        for k, t in enumerate(times):
+            for scalar, column in zip(hb.moments_closed_form(p, t), grid):
+                assert scalar == pytest.approx(column[k], rel=1e-12, abs=1e-12)
 
     def test_closed_form_audit_reports_deviations(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)

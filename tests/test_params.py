@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from cavityent.binomial import covariance_measure_closed
 from cavityent.params import (
     ModelParams,
+    covariance_measure,
     to_physical_time,
     to_scaled_time,
     validate,
@@ -59,3 +61,44 @@ def test_invalid_parameters_are_all_named():
 def test_validate_returns_params_unchanged():
     p = ModelParams(1.0, 0.1, 0.1, 5)
     assert validate(p) is p
+
+
+class TestCovarianceMeasure:
+    def test_scalar_input_equals_array_input(self):
+        rng = np.random.default_rng(17)
+        cab = rng.normal(size=50) + 1j * rng.normal(size=50)
+        cabd = rng.normal(size=50) + 1j * rng.normal(size=50)
+        na, nb = rng.uniform(0, 10, 50), rng.uniform(0, 10, 50)
+        half = rng.uniform(0.0, 0.5, 50)
+        grid = covariance_measure(cab, cabd, na, nb, half)
+        assert grid.shape == (50,)
+        for k in range(50):
+            scalar = covariance_measure(complex(cab[k]), complex(cabd[k]),
+                                        float(na[k]), float(nb[k]), float(half[k]))
+            assert np.shape(scalar) == ()
+            assert scalar == grid[k]
+
+    def test_non_positive_denominator_gives_zero(self):
+        assert covariance_measure(1j, 2.0, -0.5, 3.0) == 0.0
+        assert covariance_measure(1j, 2.0, 3.0, 0.0, vacuum_half=0.0) == 0.0
+        y = covariance_measure(np.array([1j, 1j]), np.array([2.0, 2.0]),
+                               np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
+        assert y[0] == 0.0 and y[1] > 0.0
+
+    def test_matches_pump_free_closed_form(self):
+        # |N,0> under hopping alone: n_a = N cos^2, n_b = N sin^2,
+        # cov(a, b^dag) = i N sin cos, cov(a, b) = 0
+        n, lam = 5, 0.1
+        t = np.linspace(0.0, 2 * math.pi / lam, 401)
+        c, s = np.cos(lam * t), np.sin(lam * t)
+        y = covariance_measure(np.zeros_like(t), 1j * n * s * c, n * c ** 2, n * s ** 2)
+        np.testing.assert_allclose(y, covariance_measure_closed(n, lam, t), atol=1e-12)
+
+    def test_scaled_moments_with_scaled_vacuum_term(self):
+        # moments carried divided by a scale factor need the vacuum term
+        # divided by the same factor
+        scale = 1e6
+        y = covariance_measure(0.3 + 0.1j, 2.0j, 4.0, 1.5)
+        y_scaled = covariance_measure((0.3 + 0.1j) / scale, 2.0j / scale,
+                                      4.0 / scale, 1.5 / scale, 0.5 / scale)
+        assert y_scaled == pytest.approx(y, rel=1e-12)
