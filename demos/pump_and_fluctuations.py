@@ -9,6 +9,8 @@ moments.  A fluctuating pump barely matters when the hopping is fast
 (lambda = 0.001).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from cavityent import fluctuations as fl
@@ -34,7 +36,7 @@ print(f"Y at scaled time {scaled[200]:.2f}: transport {y[200]:.10f}, "
 
 # stability boundary: the pump destabilizes the system at 2 eps = omega
 for eps in (0.2, 0.45, 0.55):
-    sd = hb.spectral(params.with_epsilon(eps))
+    sd = hb.spectral(replace(params, epsilon=eps))
     regime = "unstable" if sd.unstable else "stable"
     print(f"eps = {eps:.2f}: {regime}")
 

@@ -16,20 +16,22 @@ ensemble-mean Y rather than pointwise: Y crosses zero periodically, and
 a pointwise std/mean is O(1) at the crossings for arbitrarily small
 pump noise, which would make the spread diagnostic meaningless.
 
-Long runs at small lambda can enter the parametrically unstable regime
-inside individual segments, so the second-moment matrix is carried with
-an extracted scale factor to keep everything inside double-precision
-range; the covariance measure only needs moment ratios plus a scaled
-vacuum term.
+All trials of an ensemble are propagated together: their schedules are
+stacked into one (n_trials, n_segments) array, and each segment takes one
+propagator call for every trial at once.  Long runs at small lambda can
+enter the parametrically unstable regime inside individual segments, so
+each trial's second-moment matrix is carried with its own extracted scale
+factor to keep everything inside double-precision range; the covariance
+measure only needs moment ratios plus a scaled vacuum term.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import heisenberg
-from .params import covariance_measure
+from .params import covariance_measure, to_physical_time
 
 RESCALE_THRESHOLD = 1e100
 
@@ -39,11 +41,11 @@ class FluctuationSchedule:
     mean_epsilon: float
     n_segments: int
     total_scaled_time: float
-    values: np.ndarray
+    values: np.ndarray    # (n_segments,), or (n_trials, n_segments) for a batch
     seed: object
 
     def segment_duration(self, params):
-        return self.total_scaled_time * math.pi / params.lam / self.n_segments
+        return to_physical_time(self.total_scaled_time, params) / self.n_segments
 
 
 @dataclass(frozen=True)
@@ -77,27 +79,27 @@ def sample_schedule(mean, n_segments=100, total_scaled_time=5.0, seed=0, spread=
 def propagate_piecewise(params, schedule):
     """Y at every segment boundary under the piecewise-constant pump.
 
-    Returns (t_scaled, y) arrays of length n_segments + 1.  Moments are
-    transported segment by segment through exp(-i dt M(eps_k)) and
-    rescaled when they grow large (unstable excursions).
+    Returns (t_scaled, y); y has one row per trial of a batched schedule,
+    each of length n_segments + 1.  Moments are transported segment by
+    segment through exp(-i dt M(eps_k)), all trials in one propagator call,
+    and each trial is rescaled on its own when its moments grow large
+    (unstable excursions).
     """
+    batch = schedule.values.shape[:-1]
     dt = schedule.segment_duration(params)
-    g = heisenberg.initial_moments(params.n_initial)
-    log_scale = 0.0
-    moments = np.empty((schedule.n_segments + 1, 4, 4), dtype=complex)
-    half = np.empty(schedule.n_segments + 1)
-    moments[0], half[0] = g, 0.5
-    for k, eps_k in enumerate(schedule.values):
-        s = heisenberg.propagators(params.with_epsilon(eps_k), dt)
-        g = s @ g @ s.T
-        peak = np.abs(g).max()
-        if peak > RESCALE_THRESHOLD:
-            g /= peak
-            log_scale += math.log(peak)
-        moments[k + 1] = g
-        half[k + 1] = 0.5 * math.exp(-log_scale) if log_scale < 700.0 else 0.0
-    y = covariance_measure(moments[:, 0, 1], moments[:, 0, 3],
-                           moments[:, 2, 0].real, moments[:, 3, 1].real, half)
+    g = np.broadcast_to(heisenberg.initial_moments(params.n_initial), batch + (4, 4))
+    log_scale = np.zeros(batch)
+    y = np.empty(batch + (schedule.n_segments + 1,))
+    y[..., 0] = covariance_measure(*heisenberg.moments_of(g))
+    for k in range(schedule.n_segments):
+        s = heisenberg.propagators(replace(params, epsilon=schedule.values[..., k]), dt)
+        g = s @ g @ np.swapaxes(s, -1, -2)
+        peak = np.abs(g).max(axis=(-2, -1))
+        grown = peak > RESCALE_THRESHOLD
+        g = np.where(grown[..., None, None], g / peak[..., None, None], g)
+        log_scale += np.where(grown, np.log(peak), 0.0)
+        half = np.where(log_scale < 700.0, 0.5 * np.exp(-log_scale), 0.0)
+        y[..., k + 1] = covariance_measure(*heisenberg.moments_of(g), half)
     t_scaled = np.linspace(0.0, schedule.total_scaled_time, schedule.n_segments + 1)
     return t_scaled, y
 
@@ -115,18 +117,19 @@ def run_ensemble(
     total_scaled_time=5.0,
     spread="std",
 ):
-    """Independent seeded trials of the fluctuating-pump evolution."""
+    """Independent seeded trials of the fluctuating-pump evolution.
+
+    Trial k draws its schedule from trial_seed(master_seed, k); the
+    schedules are stacked and propagated together.
+    """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    trials = []
-    t_scaled = None
-    for k in range(n_trials):
-        sched = sample_schedule(
-            mean_epsilon, n_segments, total_scaled_time, seed=trial_seed(master_seed, k), spread=spread
-        )
-        t_scaled, y = propagate_piecewise(params, sched)
-        trials.append(y)
-    trials = np.array(trials)
+    seeds = [trial_seed(master_seed, k) for k in range(n_trials)]
+    values = np.stack([sample_schedule(mean_epsilon, n_segments, total_scaled_time, seed,
+                                       spread).values for seed in seeds])
+    batch = FluctuationSchedule(float(mean_epsilon), int(n_segments), float(total_scaled_time),
+                                values, seeds)
+    t_scaled, trials = propagate_piecewise(params, batch)
     mean = trials.mean(axis=0)
     std = trials.std(axis=0)
     peak = mean.max()

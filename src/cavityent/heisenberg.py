@@ -15,7 +15,6 @@ the variant with both signs flipped (see printed_ch_coefficients) gives
 exp(0) = -I and is retained only for the audit.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +32,12 @@ class DegenerateSpectrumError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    A: float
-    B: complex       # real and >= 0 for all real couplings of interest
-    alpha: complex   # sqrt(A - 2B); imaginary in the parametrically unstable regime
-    gamma: complex   # sqrt(A + 2B)
-    unstable: bool
+class SpectralData:  # every field is shaped like epsilon
+    A: np.ndarray        # real
+    B: np.ndarray        # complex; real and >= 0 for all real couplings of interest
+    alpha: np.ndarray    # sqrt(A - 2B); imaginary in the parametrically unstable regime
+    gamma: np.ndarray    # sqrt(A + 2B)
+    unstable: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,43 +51,33 @@ class StructureFunctions:
 
 
 def build_matrix(params):
-    """Coefficient matrix M of i d/dt (a, b, a^dag, b^dag) = M (...)."""
-    w, l, e = params.omega, params.lam, params.epsilon
-    return np.array(
-        [
-            [w, l, 2.0 * e, 0.0],
-            [l, w, 0.0, 0.0],
-            [-2.0 * e, 0.0, -w, -l],
-            [0.0, 0.0, -l, -w],
-        ],
-        dtype=complex,
-    )
+    """Coefficient matrix M of i d/dt (a, b, a^dag, b^dag) = M (...); epsilon.shape + (4, 4)."""
+    w, l = params.omega, params.lam
+    e = np.asarray(params.epsilon, dtype=float)
+    m = np.empty(e.shape + (4, 4), dtype=complex)
+    m[...] = [[w, l, 0.0, 0.0], [l, w, 0.0, 0.0], [0.0, 0.0, -w, -l], [0.0, 0.0, -l, -w]]
+    m[..., 0, 2] = 2.0 * e
+    m[..., 2, 0] = -2.0 * e
+    return m
 
 
-def spectral(params, verify=True):
+def spectral(params):
     """Eigenvalue data {A, B, alpha, gamma} of M for real epsilon.
 
-    The four eigenvalues of M are +-alpha and +-gamma.  A - 2B < 0 marks
-    the parametrically unstable regime (alpha imaginary, exponential
-    growth); it is flagged, not an error.
+    params.epsilon may be an array; every field then has its shape.  The
+    four eigenvalues of M are +-alpha and +-gamma.  A - 2B < 0 marks the
+    parametrically unstable regime (alpha imaginary, exponential growth);
+    it is flagged, not an error.
     """
-    w, l, e = params.omega, params.lam, params.epsilon
+    w, l = params.omega, params.lam
+    e = np.asarray(params.epsilon, dtype=float)
     a_val = w * w + l * l - 2.0 * e * e
-    radicand = w * w * l * l - l * l * e * e + e ** 4
-    b_val = math.sqrt(radicand) if radicand >= 0 else complex(0.0, math.sqrt(-radicand))
-    alpha = np.sqrt(complex(a_val - 2.0 * b_val))
-    gamma = np.sqrt(complex(a_val + 2.0 * b_val))
-    unstable = (a_val - 2.0 * b_val).real < 0
-    if verify:
-        m = build_matrix(params)
-        scale = max(1.0, abs(alpha), abs(gamma)) ** 4
-        for theta in (alpha, -alpha, gamma, -gamma):
-            det = np.linalg.det(m - theta * np.eye(4))
-            if abs(det) > 1e-8 * scale:
-                raise AssertionError(
-                    f"{theta!r} is not an eigenvalue of M (det = {det!r})"
-                )
-    return SpectralData(a_val, b_val, alpha, gamma, unstable)
+    # float_power is C pow, as Python's e ** 4 on a float: same last bit
+    radicand = w * w * l * l - l * l * e * e + np.float_power(e, 4)
+    b_val = np.sqrt(radicand + 0j)
+    alpha = np.sqrt(a_val - 2.0 * b_val)
+    gamma = np.sqrt(a_val + 2.0 * b_val)
+    return SpectralData(a_val, b_val, alpha, gamma, (a_val - 2.0 * b_val).real < 0)
 
 
 def _sinc_scaled(theta, t):
@@ -99,12 +88,13 @@ def _sinc_scaled(theta, t):
 def ch_coefficients(spec_data, t):
     """Cayley-Hamilton coefficients (c0, c1, c2, c3) of exp(-i t M).
 
-    t may be a scalar or an array; the coefficient index is the last axis.
+    t and the fields of spec_data may be scalars or arrays; the result has
+    shape broadcast(spec_data, t) + (4,), the coefficient index last.
     Raises DegenerateSpectrumError when 4B or alpha is too small for the
-    interpolation denominators.
+    interpolation denominators at any element.
     """
     four_b = 4.0 * spec_data.B
-    if abs(four_b) < DEGENERACY_TOL or abs(spec_data.alpha) < DEGENERACY_TOL:
+    if min(np.abs(four_b).min(), np.abs(spec_data.alpha).min()) < DEGENERACY_TOL:
         raise DegenerateSpectrumError(
             f"degenerate spectrum: 4B = {four_b!r}, alpha = {spec_data.alpha!r}"
         )
@@ -132,22 +122,24 @@ def printed_ch_coefficients(spec_data, t):
 
 def _matrix_powers(m):
     m2 = m @ m
-    return np.stack([np.eye(4, dtype=complex), m, m2, m2 @ m])
+    eye = np.broadcast_to(np.eye(4, dtype=complex), m.shape)
+    return np.stack([eye, m, m2, m2 @ m], axis=-3)
 
 
 def propagators(params, t):
-    """S(t) = exp(-i t M) for a scalar or array t; shape t.shape + (4, 4).
+    """S(t) = exp(-i t M); shape broadcast(epsilon, t) + (4, 4).
 
-    Cayley-Hamilton path, with a dense-expm fallback at degenerate spectra.
+    t and params.epsilon may each be a scalar or an array.  Cayley-Hamilton
+    path, with one stacked dense-expm call at degenerate spectra: a single
+    degenerate epsilon sends the whole batch to expm.
     """
     t = np.asarray(t, dtype=float)
     m = build_matrix(params)
     try:
-        c = ch_coefficients(spectral(params, verify=False), t)
+        c = ch_coefficients(spectral(params), t)
     except DegenerateSpectrumError:
-        dense = [expm(-1j * tk * m) for tk in t.ravel()]
-        return np.reshape(dense, t.shape + (4, 4))
-    return np.einsum("...k,kij->...ij", c, _matrix_powers(m))
+        return expm(-1j * t[..., None, None] * m)
+    return np.einsum("...k,...kij->...ij", c, _matrix_powers(m))
 
 
 def structure_functions(params, t, sign_omega=1, sign_lambda=1):
@@ -157,7 +149,7 @@ def structure_functions(params, t, sign_omega=1, sign_lambda=1):
     as the published subscripts indicate; the coefficients themselves only
     depend on omega^2 and lambda^2 and are sign-invariant.
     """
-    sd = spectral(params, verify=False)
+    sd = spectral(params)
     c0, c1, c2, c3 = np.moveaxis(ch_coefficients(sd, t), -1, 0)
     w = sign_omega * params.omega
     l = sign_lambda * params.lam
@@ -191,7 +183,11 @@ def transported_moment_arrays(params, t):
     """
     s = propagators(params, t)
     g0 = initial_moments(params.n_initial)
-    g = np.einsum("...ik,kl,...jl->...ij", s, g0, s)
+    return moments_of(np.einsum("...ik,kl,...jl->...ij", s, g0, s))
+
+
+def moments_of(g):
+    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) read off G = <v_i v_j>, any leading axes."""
     return g[..., 0, 1], g[..., 0, 3], g[..., 2, 0].real, g[..., 3, 1].real
 
 
@@ -242,7 +238,7 @@ def ch_sign_audit(params, times):
     """Max reconstruction error of exp(-itM) for corrected vs published signs."""
     m = build_matrix(params)
     powers = _matrix_powers(m)
-    sd = spectral(params, verify=False)
+    sd = spectral(params)
     err = {"corrected": 0.0, "printed": 0.0}
     for t in np.asarray(times, dtype=float):
         exact = expm(-1j * t * m)

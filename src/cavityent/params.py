@@ -17,7 +17,8 @@ class ModelParams:
 
     omega     -- angular frequency common to both modes
     lam       -- cavity-cavity photon hopping strength
-    epsilon   -- quadratic (two-photon) pump amplitude, real
+    epsilon   -- quadratic (two-photon) pump amplitude, real; the matrix
+                 functions of `heisenberg` also take an array of them
     n_initial -- photon number N of the a-mode at t = 0 (b-mode in vacuum)
     """
 
@@ -25,9 +26,6 @@ class ModelParams:
     lam: float = 0.1
     epsilon: float = 0.0
     n_initial: int = 5
-
-    def with_epsilon(self, epsilon):
-        return ModelParams(self.omega, self.lam, float(epsilon), self.n_initial)
 
 
 def violations(params):

@@ -195,6 +195,20 @@ class TestCliEndToEnd:
         assert code == 1
         assert "uncoupled" in err
 
+    @pytest.mark.parametrize("argv", [["fig5", "--points", "3"], ["fig6", "--segments", "3"]],
+                             ids=lambda argv: argv[0])
+    def test_uncoupled_lambdas_flag_is_usage_error(self, argv, capsys):
+        code, _, err = run_cli([*argv, "--lambdas", "0"], capsys)
+        assert code == 1
+        assert "scaled time undefined for uncoupled cavities" in err
+
+    def test_uncoupled_lambdas_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "fig6.cfg"
+        cfg.write_text("lambdas = 0.05, 0\ntrials = 2\nsegments = 3\n")
+        code, _, err = run_cli(["fig6", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert "scaled time undefined for uncoupled cavities" in err
+
     def test_cutoff_ceiling_is_exit_3(self, monkeypatch, capsys):
         from cavityent.fock import ConvergenceError
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,11 @@ class TestSampleSchedule:
         sched = fl.sample_schedule(0.1, n_segments=100, total_scaled_time=5.0)
         assert sched.segment_duration(p) == pytest.approx(to_physical_time(5.0, p) / 100)
 
+    def test_segment_duration_rejects_uncoupled_cavities(self):
+        sched = fl.sample_schedule(0.1, n_segments=10)
+        with pytest.raises(ValueError, match="uncoupled"):
+            sched.segment_duration(ModelParams(1.0, 0.0, 0.0, 5))
+
 
 class TestPropagatePiecewise:
     def test_constant_schedule_matches_single_shot(self):
@@ -53,7 +60,7 @@ class TestPropagatePiecewise:
         p = ModelParams(1.0, 0.05, 0.0, 5)
         sched = fl.FluctuationSchedule(0.1, 20, 1.0, np.full(20, 0.1), seed=None)
         t_scaled, y = fl.propagate_piecewise(p, sched)
-        p_eps = p.with_epsilon(0.1)
+        p_eps = replace(p, epsilon=0.1)
         for s, y_k in zip(t_scaled, y):
             t = to_physical_time(s, p) if s > 0 else 0.0
             y_ref = hb.covariance_series(p_eps, t)
@@ -77,7 +84,7 @@ class TestPropagatePiecewise:
         dt = sched.segment_duration(p)
         s_total = np.eye(4, dtype=complex)
         for eps_k in sched.values:
-            s_total = hb.propagators(p.with_epsilon(eps_k), dt) @ s_total
+            s_total = hb.propagators(replace(p, epsilon=eps_k), dt) @ s_total
         drift = np.abs(s_total @ hb.SIGMA @ s_total.conj().T - hb.SIGMA).max()
         assert drift / max(1.0, np.abs(s_total).max() ** 2) < 1e-8
 
@@ -95,6 +102,54 @@ class TestPropagatePiecewise:
         _, y = fl.propagate_piecewise(p, sched)
         assert np.all(np.isfinite(y))
         assert y.max() <= 1.0 + 1e-12
+
+
+def _stacked(schedules):
+    first = schedules[0]
+    values = np.stack([sched.values for sched in schedules])
+    return fl.FluctuationSchedule(first.mean_epsilon, first.n_segments,
+                                  first.total_scaled_time, values, seed=None)
+
+
+class TestBatchedPropagation:
+    def test_rows_equal_single_schedule_runs(self):
+        p = ModelParams(1.0, 0.05, 0.0, 5)
+        singles = [fl.sample_schedule(0.3, n_segments=30, seed=k) for k in range(4)]
+        t_batch, y_batch = fl.propagate_piecewise(p, _stacked(singles))
+        assert y_batch.shape == (4, 31) and y_batch.flags.c_contiguous
+        for sched, row in zip(singles, y_batch):
+            t_single, y_single = fl.propagate_piecewise(p, sched)
+            assert np.array_equal(t_single, t_batch)
+            assert np.array_equal(row, y_single)
+
+    def test_rescaling_one_row_leaves_the_other_untouched(self):
+        # mean 0.6 at lambda = 0.001 crosses the instability threshold and
+        # rescales; mean 0.3 stays stable and is never rescaled
+        p = ModelParams(1.0, 0.001, 0.0, 5)
+        unstable = fl.sample_schedule(0.6, seed=9)
+        stable = fl.sample_schedule(0.3, seed=9)
+        _, y_batch = fl.propagate_piecewise(p, _stacked([unstable, stable]))
+        _, y_unstable = fl.propagate_piecewise(p, unstable)
+        _, y_stable = fl.propagate_piecewise(p, stable)
+        assert np.array_equal(y_batch[0], y_unstable)
+        assert np.array_equal(y_batch[1], y_stable)
+        # the unstable row's moments do pass the rescale threshold
+        dt = unstable.segment_duration(p)
+        g, log_peak = hb.initial_moments(5), 0.0
+        for eps_k in unstable.values:
+            s = hb.propagators(replace(p, epsilon=eps_k), dt)
+            g = s @ g @ s.T
+            log_peak += np.log(np.abs(g).max())
+            g /= np.abs(g).max()
+        assert log_peak > np.log(fl.RESCALE_THRESHOLD)
+
+    def test_ensemble_trials_equal_per_trial_runs(self):
+        p = ModelParams(1.0, 0.05, 0.3, 5)
+        ens = fl.run_ensemble(p, 0.3, n_trials=3, master_seed=21, n_segments=20,
+                              total_scaled_time=2.0)
+        for k, row in enumerate(ens.trials):
+            sched = fl.sample_schedule(0.3, 20, 2.0, seed=fl.trial_seed(21, k))
+            assert np.array_equal(row, fl.propagate_piecewise(p, sched)[1])
 
 
 class TestRunEnsemble:

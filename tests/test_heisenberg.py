@@ -53,11 +53,25 @@ class TestSpectral:
             p = ModelParams(1.0, rng.uniform(1e-3, 0.5), rng.uniform(0, 0.6), 0)
             sd = hb.spectral(p)
             assert sd.gamma ** 2 - sd.alpha ** 2 == pytest.approx(4.0 * sd.B, abs=1e-12)
+            # +-alpha and +-gamma are eigenvalues of M: det(M - theta I) vanishes
+            m = hb.build_matrix(p)
+            scale = max(1.0, abs(sd.alpha), abs(sd.gamma)) ** 4
+            for theta in (sd.alpha, -sd.alpha, sd.gamma, -sd.gamma):
+                assert abs(np.linalg.det(m - theta * np.eye(4))) <= 1e-8 * scale
 
     def test_unstable_regime_flagged(self):
         sd = hb.spectral(ModelParams(1.0, 0.1, 0.6, 5))
         assert sd.unstable
         assert abs(sd.alpha.real) < 1e-12 and sd.alpha.imag > 0
+
+    def test_epsilon_array_matches_scalars(self):
+        eps = np.array([0.0, 0.1, 0.3, 0.6])
+        batch = hb.spectral(ModelParams(1.0, 0.05, eps, 5))
+        for k, e in enumerate(eps):
+            single = hb.spectral(ModelParams(1.0, 0.05, float(e), 5))
+            for field in ("A", "B", "alpha", "gamma", "unstable"):
+                assert np.array_equal(getattr(batch, field)[k], getattr(single, field))
+        assert batch.unstable.tolist() == [False, False, False, True]
 
 
 class TestChCoefficients:
@@ -79,7 +93,7 @@ class TestChCoefficients:
                 assert value == pytest.approx(np.exp(-1j * theta * t), abs=1e-10)
 
     def test_degenerate_spectrum_raises(self):
-        sd = hb.spectral(ModelParams(1.0, 0.0, 0.0, 0), verify=False)  # B = 0
+        sd = hb.spectral(ModelParams(1.0, 0.0, 0.0, 0))  # B = 0
         with pytest.raises(hb.DegenerateSpectrumError):
             hb.ch_coefficients(sd, 1.0)
 
@@ -138,6 +152,39 @@ class TestPropagator:
         for t, s in zip(times, stack):
             assert hb.propagators(p, t).shape == (4, 4)
             np.testing.assert_allclose(s, hb.propagators(p, t), atol=1e-12)
+
+    def test_epsilon_array_matches_scalar_calls(self):
+        # zero, stable and unstable pump in one batch, bit for bit
+        eps = np.array([0.0, 0.1, 0.3, 0.6])
+        p = ModelParams(1.0, 0.05, eps, 5)
+        stack = hb.propagators(p, 17.0)
+        assert stack.shape == (4, 4, 4)
+        for e, s in zip(eps, stack):
+            assert np.array_equal(s, hb.propagators(ModelParams(1.0, 0.05, float(e), 5), 17.0))
+        single = hb.build_matrix(ModelParams(1.0, 0.05, 0.6, 5))
+        assert np.array_equal(hb.build_matrix(p)[3], single)
+
+    def test_epsilon_and_time_broadcast(self):
+        eps = np.array([[0.1], [0.6]])
+        times = np.array([0.0, 3.0, 40.0])
+        stack = hb.propagators(ModelParams(1.0, 0.05, eps, 5), times)
+        assert stack.shape == (2, 3, 4, 4)
+        for i, e in enumerate(eps[:, 0]):
+            for j, t in enumerate(times):
+                single = hb.propagators(ModelParams(1.0, 0.05, float(e), 5), t)
+                assert np.array_equal(stack[i, j], single)
+
+    def test_one_degenerate_epsilon_sends_batch_to_expm(self):
+        # at lambda = 0.1 the threshold epsilon = (1 - 0.01)/2 makes alpha = 0
+        eps = np.array([[0.1, 0.495], [0.3, 0.0]])
+        p = ModelParams(1.0, 0.1, eps, 5)
+        with pytest.raises(hb.DegenerateSpectrumError):
+            hb.ch_coefficients(hb.spectral(p), 2.0)
+        stack = hb.propagators(p, 2.0)
+        assert stack.shape == eps.shape + (4, 4)
+        m = hb.build_matrix(p)
+        for idx in np.ndindex(eps.shape):
+            assert np.array_equal(stack[idx], expm(-1j * 2.0 * m[idx]))
 
     def test_degenerate_fallback_keeps_time_shape(self):
         p = ModelParams(1.0, 0.0, 0.0, 3)
@@ -202,6 +249,13 @@ class TestMoments:
         p = ModelParams(1.0, 0.1, 0.1, 5)
         _, _, na, nb = hb.transported_moment_arrays(p, np.linspace(0, 60, 121))
         assert na.min() > -1e-9 and nb.min() > -1e-9
+
+    def test_moments_of_reads_initial_entries(self):
+        g = hb.initial_moments(5)
+        assert hb.moments_of(g) == (0j, 0j, 5.0, 0.0)
+        stack = hb.moments_of(np.stack([g, 2.0 * g]))
+        assert [np.shape(q) for q in stack] == [(2,)] * 4
+        assert stack[2].tolist() == [5.0, 10.0]
 
     def test_covariance_measure_zero_for_product_moments(self):
         assert covariance_measure(0j, 0j, 5.0, 0.0) == 0.0
