@@ -22,7 +22,10 @@ propagator call for every trial at once.  Long runs at small lambda can
 enter the parametrically unstable regime inside individual segments, so
 each trial's second-moment matrix is carried with its own extracted scale
 factor to keep everything inside double-precision range; the covariance
-measure only needs moment ratios plus a scaled vacuum term.
+measure only needs moment ratios plus a scaled vacuum term.  The rescale
+acts between segments, so a run in which one segment's growth alone leaves
+that range is refused with a ValueError naming the segment, not written
+out as nan.
 """
 
 import math
@@ -83,7 +86,8 @@ def propagate_piecewise(params, schedule):
     each of length n_segments + 1.  Moments are transported segment by
     segment through exp(-i dt M(eps_k)), all trials in one propagator call,
     and each trial is rescaled on its own when its moments grow large
-    (unstable excursions).
+    (unstable excursions).  Raises ValueError when the moments stop being
+    finite within one segment; more segments shorten each step.
     """
     batch = schedule.values.shape[:-1]
     dt = schedule.segment_duration(params)
@@ -92,8 +96,14 @@ def propagate_piecewise(params, schedule):
     y = np.empty(batch + (schedule.n_segments + 1,))
     y[..., 0] = covariance_measure(*heisenberg.moments_of(g))
     for k in range(schedule.n_segments):
-        s = heisenberg.propagators(replace(params, epsilon=schedule.values[..., k]), dt)
-        g = s @ g @ np.swapaxes(s, -1, -2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = heisenberg.propagators(replace(params, epsilon=schedule.values[..., k]), dt)
+            g = s @ g @ np.swapaxes(s, -1, -2)
+        if not np.isfinite(g).all():
+            raise ValueError(
+                f"second moments overflow within pump segment {k + 1} of "
+                f"{schedule.n_segments} at lambda = {params.lam:g}; use more segments"
+            )
         peak = np.abs(g).max(axis=(-2, -1))
         grown = peak > RESCALE_THRESHOLD
         g = np.where(grown[..., None, None], g / peak[..., None, None], g)

@@ -1,11 +1,14 @@
 """Pumped Heisenberg-picture dynamics of the operator vector (a, b, a^dag, b^dag).
 
 The linear Heisenberg equations i dv/dt = M v are solved by the 4x4
-propagator S(t) = exp(-i t M).  S is built by the Cayley-Hamilton cubic
-in M whenever the spectrum {+-alpha, +-gamma} is non-degenerate, and by a
-dense matrix exponential otherwise.  The quadratic congruence
-G(t) = S G(0) S^T transports the second moments of |N,0> and is the
-authoritative route to the covariance measure; the published structure-
+propagator S(t) = exp(-i t M).  S is built entry by entry from the
+Cayley-Hamilton cubic in M whenever the spectrum {+-alpha, +-gamma} is
+non-degenerate, and by a dense matrix exponential otherwise.  The quadratic
+congruence G(t) = S G(0) S^T transports the second moments of |N,0> and is
+the authoritative route to the covariance measure.  G(0) has three nonzeros,
+(0,2) = N+1, (1,3) = 1 and (2,0) = N, so the congruence is evaluated only at
+the four entries Y reads, each a three-term sum
+G_ij = (N+1) S_i0 S_j2 + S_i1 S_j3 + N S_i2 S_j0.  The published structure-
 function formulas for the same moments are kept as an audit, not trusted.
 
 Sign convention for the Cayley-Hamilton coefficients: c0 and c1 here are
@@ -51,10 +54,10 @@ class StructureFunctions:
 
 
 def build_matrix(params):
-    """Coefficient matrix M of i d/dt (a, b, a^dag, b^dag) = M (...); epsilon.shape + (4, 4)."""
+    """Real coefficient matrix M of i d/dt (a, b, a^dag, b^dag) = M (...); epsilon.shape + (4, 4)."""
     w, l = params.omega, params.lam
     e = np.asarray(params.epsilon, dtype=float)
-    m = np.empty(e.shape + (4, 4), dtype=complex)
+    m = np.empty(e.shape + (4, 4))
     m[...] = [[w, l, 0.0, 0.0], [l, w, 0.0, 0.0], [0.0, 0.0, -w, -l], [0.0, 0.0, -l, -w]]
     m[..., 0, 2] = 2.0 * e
     m[..., 2, 0] = -2.0 * e
@@ -89,7 +92,7 @@ def ch_coefficients(spec_data, t):
     """Cayley-Hamilton coefficients (c0, c1, c2, c3) of exp(-i t M).
 
     t and the fields of spec_data may be scalars or arrays; the result has
-    shape broadcast(spec_data, t) + (4,), the coefficient index last.
+    shape (4,) + broadcast(spec_data, t), the coefficient index first.
     Raises DegenerateSpectrumError when 4B or alpha is too small for the
     interpolation denominators at any element.
     """
@@ -108,38 +111,58 @@ def ch_coefficients(spec_data, t):
     c1 = -1j * (ga ** 2 * sa - al ** 2 * sg) / four_b
     c2 = (cg - ca) / four_b
     c3 = 1j * (sa - sg) / four_b
-    return np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    return np.stack(np.broadcast_arrays(c0, c1, c2, c3))
 
 
 def printed_ch_coefficients(spec_data, t):
     """Coefficients with the published signs on the I and M terms (audit only)."""
     c = ch_coefficients(spec_data, t)
-    c = c.copy()
-    c[..., 0] *= -1.0
-    c[..., 1] *= -1.0
+    c[:2] *= -1.0
     return c
 
 
-def _matrix_powers(m):
-    m2 = m @ m
-    eye = np.broadcast_to(np.eye(4, dtype=complex), m.shape)
-    return np.stack([eye, m, m2, m2 @ m], axis=-3)
+def _ch_sum(c, m):
+    """c0 I + c1 M + c2 M^2 + c3 M^3 entry-major: [i][j] shaped like broadcast(c[0], M_ij)."""
+    c0, c1, c2, c3 = c
+    eye, m2 = np.eye(4), m @ m
+    m3 = m2 @ m
+    return [[c0 * eye[i, j] + c1 * m[..., i, j] + c2 * m2[..., i, j] + c3 * m3[..., i, j]
+             for j in range(4)] for i in range(4)]
+
+
+def _matrix(s):
+    """Entry-major s[i][j] as one (..., 4, 4) stack."""
+    return np.stack([np.stack(row, axis=-1) for row in s], axis=-2)
+
+
+def _propagator_entries(params, t):
+    """(S, shape): S(t) = exp(-i t M) entry-major, S[i][j] shaped like broadcast(epsilon, t).
+
+    Cayley-Hamilton path, with one stacked dense-expm call at degenerate
+    spectra: a single degenerate epsilon sends the whole batch to expm.
+    When epsilon and t are both 0-d the entries come back with one axis of
+    length 1 (shape is then ()): numpy's scalar arithmetic rounds complex
+    products differently from its array loops, and a scalar t must give the
+    same bits as the same t on a grid.
+    """
+    t = np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(np.shape(params.epsilon), t.shape)
+    if not shape:
+        t = t[None]
+    m = build_matrix(params)
+    try:
+        return _ch_sum(ch_coefficients(spectral(params), t), m), shape
+    except DegenerateSpectrumError:
+        return np.moveaxis(expm(-1j * t[..., None, None] * m), (-2, -1), (0, 1)), shape
 
 
 def propagators(params, t):
     """S(t) = exp(-i t M); shape broadcast(epsilon, t) + (4, 4).
 
-    t and params.epsilon may each be a scalar or an array.  Cayley-Hamilton
-    path, with one stacked dense-expm call at degenerate spectra: a single
-    degenerate epsilon sends the whole batch to expm.
+    t and params.epsilon may each be a scalar or an array.
     """
-    t = np.asarray(t, dtype=float)
-    m = build_matrix(params)
-    try:
-        c = ch_coefficients(spectral(params), t)
-    except DegenerateSpectrumError:
-        return expm(-1j * t[..., None, None] * m)
-    return np.einsum("...k,...kij->...ij", c, _matrix_powers(m))
+    s, shape = _propagator_entries(params, t)
+    return _matrix(s).reshape(shape + (4, 4))
 
 
 def structure_functions(params, t, sign_omega=1, sign_lambda=1):
@@ -150,7 +173,7 @@ def structure_functions(params, t, sign_omega=1, sign_lambda=1):
     depend on omega^2 and lambda^2 and are sign-invariant.
     """
     sd = spectral(params)
-    c0, c1, c2, c3 = np.moveaxis(ch_coefficients(sd, t), -1, 0)
+    c0, c1, c2, c3 = ch_coefficients(sd, t)
     w = sign_omega * params.omega
     l = sign_lambda * params.lam
     e = params.epsilon
@@ -177,18 +200,39 @@ def initial_moments(n_initial):
 def transported_moment_arrays(params, t):
     """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> at a scalar or array t.
 
-    Second moments are carried by the congruence G(t) = S G(0) S^T.  First
+    Second moments are carried by the congruence G(t) = S G(0) S^T, taken
+    only at the four entries read here: over the three nonzeros of G(0)
+    (see initial_moments) each is G_ij = (N+1) S_i0 S_j2 + S_i1 S_j3 + N S_i2 S_j0.
+    The products are formed from real and imaginary parts, because numpy's
+    SIMD complex multiply fuses multiply-adds on hosts that have them and
+    the last bit of the moments would then depend on the host.  First
     moments of |N,0> vanish and stay zero under the homogeneous equations,
     so covariances equal raw second moments.
     """
-    s = propagators(params, t)
+    s, shape = _propagator_entries(params, t)
     g0 = initial_moments(params.n_initial)
-    return moments_of(np.einsum("...ik,kl,...jl->...ij", s, g0, s))
+    terms = [(k, l, g0[k, l].real) for k, l in zip(*np.nonzero(g0))]
+
+    def entry(i, j):
+        re = im = 0.0
+        for k, l, value in terms:
+            xr, xi = value * s[i][k].real, value * s[i][k].imag
+            yr, yi = s[j][l].real, s[j][l].imag
+            re = re + (xr * yr - xi * yi)
+            im = im + (xr * yi + xi * yr)
+        return re + 1j * im
+
+    return tuple(q.reshape(shape) for q in _read_moments(entry))
 
 
 def moments_of(g):
     """(cov_ab, cov_ab_dagger, mean_na, mean_nb) read off G = <v_i v_j>, any leading axes."""
-    return g[..., 0, 1], g[..., 0, 3], g[..., 2, 0].real, g[..., 3, 1].real
+    return _read_moments(lambda i, j: g[..., i, j])
+
+
+def _read_moments(entry):
+    # <ab>, <ab^dag>, <a^dag a>, <b^dag b> over v = (a, b, a^dag, b^dag)
+    return entry(0, 1), entry(0, 3), entry(2, 0).real, entry(3, 1).real
 
 
 def moments_closed_form(params, t):
@@ -236,17 +280,16 @@ def closed_form_audit(params, times):
 
 def ch_sign_audit(params, times):
     """Max reconstruction error of exp(-itM) for corrected vs published signs."""
+    times = np.asarray(times, dtype=float)
     m = build_matrix(params)
-    powers = _matrix_powers(m)
     sd = spectral(params)
-    err = {"corrected": 0.0, "printed": 0.0}
-    for t in np.asarray(times, dtype=float):
-        exact = expm(-1j * t * m)
-        scale = max(1.0, np.abs(exact).max())
-        for key, coeffs in (
-            ("corrected", ch_coefficients(sd, t)),
-            ("printed", printed_ch_coefficients(sd, t)),
-        ):
-            rebuilt = np.einsum("k,kij->ij", coeffs, powers)
-            err[key] = max(err[key], float(np.abs(rebuilt - exact).max() / scale))
+    exact = expm(-1j * times[:, None, None] * m)
+    scale = np.maximum(1.0, np.abs(exact).max(axis=(-2, -1)))
+    err = {}
+    for key, coeffs in (
+        ("corrected", ch_coefficients(sd, times)),
+        ("printed", printed_ch_coefficients(sd, times)),
+    ):
+        deviation = np.abs(_matrix(_ch_sum(coeffs, m)) - exact).max(axis=(-2, -1))
+        err[key] = float((deviation / scale).max(initial=0.0))
     return err

@@ -209,6 +209,16 @@ class TestCliEndToEnd:
         assert code == 1
         assert "scaled time undefined for uncoupled cavities" in err
 
+    def test_overflowing_noise_run_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "fig6.csv"
+        code, _, err = run_cli(["fig6", "--lambdas", "0.001", "--mean-epsilon", "0.6",
+                                "--t-max-scaled", "10", "--trials", "5", "--seed", "3",
+                                "--out", str(out)], capsys)
+        assert code == 1
+        assert "second moments overflow within pump segment 10 of 100" in err
+        assert "use more segments" in err
+        assert not out.exists()
+
     def test_cutoff_ceiling_is_exit_3(self, monkeypatch, capsys):
         from cavityent.fock import ConvergenceError
 

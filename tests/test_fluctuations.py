@@ -103,6 +103,19 @@ class TestPropagatePiecewise:
         assert np.all(np.isfinite(y))
         assert y.max() <= 1.0 + 1e-12
 
+    def test_overflow_within_one_segment_is_refused(self):
+        # lambda = 0.001, mean pump 0.6 over ten scaled time units in 100
+        # segments: one segment's growth alone leaves double range, before
+        # the rescale between segments can act
+        p = ModelParams(1.0, 0.001, 0.6, 5)
+        sched = _stacked([fl.sample_schedule(0.6, 100, 10.0, seed=fl.trial_seed(3, k))
+                          for k in range(5)])
+        with pytest.raises(ValueError, match=r"segment 10 of 100 at lambda = 0\.001; "
+                                             r"use more segments"):
+            fl.propagate_piecewise(p, sched)
+        finer = replace(sched, n_segments=400, values=np.repeat(sched.values, 4, axis=1))
+        assert np.all(np.isfinite(fl.propagate_piecewise(p, finer)[1]))
+
 
 def _stacked(schedules):
     first = schedules[0]

@@ -266,6 +266,65 @@ class TestMoments:
         assert hb.covariance_series(p, t).max() == pytest.approx(0.6, abs=0.05)
 
 
+def _full_congruence_moments(p, t):
+    # every entry of S G(0) S^T, then the four that Y reads
+    s = hb.propagators(p, t)
+    g = np.einsum("...ik,kl,...jl->...ij", s, hb.initial_moments(p.n_initial), s)
+    return hb.moments_of(g)
+
+
+def _einsum_propagators(p, t):
+    m = hb.build_matrix(p)
+    powers = np.stack([np.broadcast_to(np.eye(4), m.shape), m, m @ m, m @ m @ m], axis=-3)
+    return np.einsum("k...,...kij->...ij", hb.ch_coefficients(hb.spectral(p), t), powers)
+
+
+class TestMomentKernel:
+    """The four-entry moment kernel against the full congruence S G(0) S^T."""
+
+    def assert_matches_full_congruence(self, p, t):
+        kernel = hb.transported_moment_arrays(p, t)
+        reference = _full_congruence_moments(p, t)
+        for q, ref in zip(kernel, reference):
+            assert np.shape(q) == np.shape(ref)
+            assert np.all(np.isfinite(q))
+            assert np.abs(q - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("lam", [0.001, 0.05, 0.3])
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 0.9])
+    def test_stable(self, lam, eps):
+        p = ModelParams(2.0, lam, eps, 5)
+        assert not hb.spectral(p).unstable
+        self.assert_matches_full_congruence(p, np.linspace(0.0, 60.0, 241))
+
+    def test_unstable(self):
+        p = ModelParams(1.0, 0.1, 0.6, 5)
+        assert hb.spectral(p).unstable
+        self.assert_matches_full_congruence(p, np.linspace(0.0, 40.0, 161))
+
+    def test_dense_expm_fallback(self):
+        # alpha = 0 at the threshold epsilon = (omega^2 - lambda^2) / (2 omega)
+        p = ModelParams(1.0, 0.1, 0.495, 3)
+        with pytest.raises(hb.DegenerateSpectrumError):
+            hb.ch_coefficients(hb.spectral(p), 1.0)
+        self.assert_matches_full_congruence(p, np.linspace(0.0, 30.0, 61))
+
+    def test_epsilon_column_broadcast_against_times(self):
+        p = ModelParams(1.0, 0.05, np.array([[0.1], [0.3], [0.6]]), 5)
+        times = np.linspace(0.0, 30.0, 5)
+        assert hb.transported_moment_arrays(p, times)[0].shape == (3, 5)
+        self.assert_matches_full_congruence(p, times)
+
+    @pytest.mark.parametrize("p, t", [
+        (ModelParams(2.0, 0.05, 0.2, 5), np.linspace(0.0, 60.0, 241)),
+        (ModelParams(1.0, 0.1, 0.6, 5), np.linspace(0.0, 40.0, 161)),
+        (ModelParams(1.0, 0.05, np.array([[0.1], [0.3], [0.6]]), 5), np.linspace(0.0, 30.0, 5)),
+        (ModelParams(1.0, 0.001, np.linspace(0.24, 0.36, 300), 5), 0.37),
+    ])
+    def test_propagators_equal_einsum_reference(self, p, t):
+        assert np.array_equal(hb.propagators(p, t), _einsum_propagators(p, t), equal_nan=True)
+
+
 class TestPhotonDifferenceRatio:
     def test_all_photons_one_mode(self):
         # |5,0> at t = 0
