@@ -28,7 +28,9 @@ print(f"pumped run (lambda = eps = 0.1): peak Y = {y.max():.4f} "
 
 # spot-check one instant against the truncated-Fock brute force
 basis, ev = fock.check_convergence(params, t[-1], tol=1e-6)
-print(f"oracle cutoff: {basis.cutoff_a} photons per mode")
+print(f"oracle cutoff: n_a + n_b <= {basis.cutoff_a}, certified to "
+      f"{ev.certificate['observable_bound']:.1e} "
+      f"(leak bound {ev.certificate['leak_bound']:.1e})")
 psi = ev.at(fock.fock_state(basis, 5, 0), t[200])
 obs = fock.observables(psi, basis)
 print(f"Y at scaled time {scaled[200]:.2f}: transport {y[200]:.10f}, "

@@ -231,7 +231,8 @@ def oracle_check(
         "rows": audit_rows,
     }
 
-    # pumped transport vs converged Fock oracle
+    # pumped transport vs the Fock oracle, at the cutoff its leak bound
+    # certifies (leak_bound at t_max, and the observable bound it implies)
     lam_p, eps_p = pumped_params
     p = validate(ModelParams(omega, lam_p, eps_p, n_initial))
     t_max = to_physical_time(1.0, p)
@@ -251,7 +252,9 @@ def oracle_check(
             abs(obs["mean_nb"] - nb[k]),
             abs(obs["Y"] - y[k]),
         )
-    pumped = {"lambda": lam_p, "epsilon": eps_p, "cutoff": basis.cutoff_a,
+    pumped = {"lambda": lam_p, "epsilon": eps_p,
+              "truncation": "n_a + n_b <= cutoff", "cutoff": basis.cutoff_a,
+              **ev.certificate,
               "max_deviation": float(max_dev),
               "tolerance": max(1e-5, 10.0 * convergence_tol)}
     pumped["pass"] = pumped["max_deviation"] < pumped["tolerance"]

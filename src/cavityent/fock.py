@@ -7,16 +7,21 @@ full Hamiltonian
         + epsilon (a^dag^2 + a^2) + drive (a^dag + a)
 
 is assembled as a sparse real-symmetric matrix on a per-mode photon-number
-cutoff, evolved by spectral decomposition, and interrogated for moments,
-the covariance measure and the a-mode entanglement entropy.
+box, evolved by spectral decomposition, and interrogated for moments, the
+covariance measure and the a-mode entanglement entropy.
 
 Only the sector that the initial state reaches under H is diagonalised:
 the photon-number parity sector when pumped (hopping keeps n_a + n_b and
 the pump changes n_a by 2), the N-photon shell without pump or drive, and
 the whole basis under a linear drive.  The sector is found from H's nonzero
 values and checked, not assumed: H must have no entry between it and the
-rest of the basis.  Cutoff adequacy is certified operationally by
-check_convergence, never assumed either.
+rest of the basis.
+
+check_convergence truncates on total photon number, n_a + n_b <= K, and
+certifies K with a bound, never assumed: hopping keeps n_a + n_b, so only
+the pump (and a drive) couples the truncation to the states beyond it, and
+the Duhamel formula bounds the distance between the truncated and the
+exact state by that coupling along the truncated evolution.
 """
 
 import numpy as np
@@ -48,9 +53,6 @@ class TruncatedBasis:
         if not (0 <= n_a <= self.cutoff_a and 0 <= n_b <= self.cutoff_b):
             raise IndexError(f"({n_a}, {n_b}) outside basis")
         return n_a * (self.cutoff_b + 1) + n_b
-
-    def occupation(self, flat):
-        return divmod(int(flat), self.cutoff_b + 1)
 
     def __repr__(self):
         return f"TruncatedBasis({self.cutoff_a}, {self.cutoff_b})"
@@ -133,29 +135,44 @@ class SpectralEvolver:
     def at(self, psi0, t):
         return self.at_times(psi0, [t])[0]
 
-    def at_times(self, psi0, times):
+    def _coefficients(self, psi0):
         psi0 = np.asarray(psi0, dtype=complex)
         if np.any(psi0[~self.sector]):
             raise ValueError("initial state has support outside the evolver's sector")
-        coeff = _apply(self.modes.conj().T, psi0[self.sector])
+        return _apply(self.modes.conj().T, psi0[self.sector])
+
+    def at_times(self, psi0, times):
+        coeff = self._coefficients(psi0)
         phases = np.exp(-1j * np.outer(np.asarray(times, float), self.energies))
         out = np.zeros((phases.shape[0], self.sector.size), dtype=complex)
         out[:, self.sector] = _apply(self.modes, (phases * coeff).T).T
         return out
 
+    def leak_bound(self, leak, psi0, t):
+        """B(t) = sqrt(t int_0^t |leak psi(s)|^2 ds) for psi(s) = exp(-iHs) psi0.
+
+        leak has the basis as columns (see truncation).  With x the
+        eigen-coefficients of psi0 and W = (leak V)^dag (leak V) on the
+        sector's eigenvectors V, the integral is exact, with no quadrature:
+
+            sum_jk conj(x_j) x_k W_jk (exp(i w_jk t) - 1) / (i w_jk),
+
+        w_jk = E_j - E_k, a term that is t where w_jk = 0.  The factor is
+        written t exp(i w t/2) sin(w t/2) / (w t/2), which loses no digits
+        there.
+        """
+        coeff = self._coefficients(psi0)
+        leak = sparse.csr_matrix(leak)[:, self.sector]
+        z = (leak[np.diff(leak.indptr) > 0] @ self.modes) * coeff
+        gap = self.energies[:, None] - self.energies[None, :]
+        kernel = t * np.exp(0.5j * gap * t) * np.sinc(gap * t / (2.0 * np.pi))
+        integral = np.sum((z.conj().T @ z) * kernel).real
+        return float(np.sqrt(t * max(integral, 0.0)))
+
 
 def _apply(m, v):
     # m @ v for complex v without casting a real m to a complex copy
     return m @ v.real + 1j * (m @ v.imag)
-
-
-def evolve(state, h, t):
-    """exp(-iHt) applied to state; norm preserved to 1e-9."""
-    out = SpectralEvolver(h, reachable_sector(h, state)).at(state, t)
-    norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > 1e-9 and abs(np.linalg.norm(state) - 1.0) < 1e-9:
-        raise AssertionError(f"norm drift during evolution: {norm!r}")
-    return out
 
 
 def _grid(state, basis):
@@ -226,45 +243,89 @@ def reduced_entropy(state, basis):
     return float(-np.sum(xlogy(p, p)) / np.log(2.0))
 
 
-def check_convergence(
-    params,
-    t_max,
-    tol=1e-6,
-    linear_drive=0.0,
-    start_cutoff=8,
-    ceiling=120,
-    n_probe=5,
-):
-    """Grow cutoffs geometrically until Y, n_a, n_b and S stabilize below tol.
+def truncation(params, cutoff, linear_drive=0.0):
+    """H truncated to T = {n_a + n_b <= cutoff}, and its coupling out of T.
 
-    Returns (basis, evolver): an adequate TruncatedBasis and the
-    SpectralEvolver for |N, 0> on it that the last rung already built.
-    With epsilon = 0 and no drive the total photon number is conserved and
-    cutoff N is exact.
+    Returns (basis, h, leak) on the (cutoff, cutoff) box.  h is P H P, P the
+    projector onto T: every entry of H that touches a state outside T is
+    dropped.  leak is Q H P, Q = 1 - P: its columns are the box's states,
+    its rows the states outside T of the (cutoff + 2, cutoff + 2) box,
+    which holds every state H reaches from T.  Both are cut from one
+    build_hamiltonian on that wider box.
+    """
+    wide = TruncatedBasis(cutoff + 2, cutoff + 2)
+    n_a, n_b = np.divmod(np.arange(wide.dim), wide.cutoff_b + 1)
+    h = build_hamiltonian(params, wide, linear_drive)
+    # the (cutoff, cutoff) box, in its own flat order
+    box = (n_a <= cutoff) & (n_b <= cutoff)
+    p = sparse.diags((n_a + n_b <= cutoff)[box].astype(float))
+    leak = h[n_a + n_b > cutoff][:, box]
+    return TruncatedBasis(cutoff, cutoff), sparse.csr_matrix(p @ h[box][:, box] @ p), leak
+
+
+def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
+    """Smallest total-photon cutoff K whose error bound at t_max is below tol.
+
+    Returns (basis, evolver) for |N, 0>, N = params.n_initial, truncated to
+    T = {n_a + n_b <= K} on the (K, K) box (basis.cutoff_a == K).  The
+    evolver carries its certificate: evolver.certificate holds the leak
+    bound B(t_max) and the observable bound 28 max(K, 2) B(t_max).  K runs
+    up the ladder N, then max(K + 2, ceil(1.25 K)), to ceiling; past it,
+    ConvergenceError.
+
+    State bound (rigorous).  Let psi be the exact state, phi the state
+    evolved under P H P (it stays in T, with norm 1) and Q = 1 - P.  By the
+    Duhamel formula and then Cauchy-Schwarz,
+
+        |psi(t) - phi(t)| <= int_0^t |Q H phi(s)| ds
+                          <= B(t) = sqrt(t int_0^t |Q H phi(s)|^2 ds).
+
+    omega n and the hopping keep n_a + n_b, so Q H P holds only the pump's
+    a^dag^2 (and a drive's a^dag) out of the top shells: `truncation`'s
+    leak.  SpectralEvolver.leak_bound evaluates the integral exactly in
+    the eigenbasis.  B is non-decreasing in t, so B(t_max) bounds every
+    t <= t_max.  Without pump or drive Q H P is empty and B = 0: the N rung
+    is exact and certifies itself.
+
+    Observable bound (first order in B).  For delta = psi - phi,
+
+        <psi|O|psi> - <phi|O|phi> = <delta|O phi> + <O^dag phi|delta>
+                                    + <delta|O|delta>.
+
+    For O in {n_a, n_b, ab, ab^dag}, |O P| and |O^dag P| are at most
+    max(K, 2) (|a^dag b^dag P| <= (K + 2)/2), so the first two terms are
+    below 2 max(K, 2) B.  A drive adds the means: |<a>_phi| <= sqrt(K) and
+    <a> moves by at most (sqrt(K) + sqrt(K + 1)) B, so the products of
+    means move by at most (4K + 1) B, and each covariance and barred photon
+    number by at most eta = 7 max(K, 2) B.  (With no drive the means are 0
+    by parity.)  Y = |c| / D, c = (cov(a, b^dag), cov(a, b)) and
+    D = sqrt(2 (nbar_a + 1/2)(nbar_b + 1/2)).  Every state has Y < 1 and
+    D >= 1/sqrt(2), and so does every point on the segment between two
+    states' moments (|c| is convex, D concave), so along it
+    |grad_c Y| <= sqrt(2) and |dY/dnbar| <= Y <= 1, and
+
+        |Y(psi) - Y(phi)| <= sqrt(2) sqrt(2) eta + 2 eta = 4 eta
+                           = 28 max(K, 2) B.
+
+    What is not bounded: the <delta|O|delta> term, second order in B but
+    with O unbounded off T; the tests check instead that the certified
+    rung agrees with one twice as large.  The reduced entropy is not
+    covered either.
     """
     n0 = params.n_initial
-
-    def rung(cutoff):
-        basis = TruncatedBasis(cutoff, cutoff)
-        h = build_hamiltonian(params, basis, linear_drive)
-        return basis, SpectralEvolver(h, reachable_sector(h, fock_state(basis, n0, 0)))
-
-    if params.epsilon == 0.0 and linear_drive == 0.0:
-        return rung(n0)
-    probes = np.linspace(0.0, float(t_max), n_probe + 1)[1:]
-    cutoff = max(int(start_cutoff), n0 + 2)
-    prev = None
+    cutoff = n0
     while cutoff <= ceiling:
-        basis, ev = rung(cutoff)
-        rows = []
-        for psi in ev.at_times(fock_state(basis, n0, 0), probes):
-            obs = observables(psi, basis)
-            rows.append([obs["Y"], obs["mean_na"], obs["mean_nb"], reduced_entropy(psi, basis)])
-        current = np.array(rows)
-        if prev is not None and np.abs(current - prev).max() < tol:
-            return basis, ev
-        prev = current
-        cutoff = min(2 * cutoff, ceiling) if cutoff < ceiling else ceiling + 1
+        basis, h, leak = truncation(params, cutoff, linear_drive)
+        psi0 = fock_state(basis, n0, 0)
+        evolver = SpectralEvolver(h, reachable_sector(h, psi0))
+        bound = evolver.leak_bound(leak, psi0, t_max)
+        evolver.certificate = {"leak_bound": bound,
+                               "observable_bound": 28.0 * max(cutoff, 2) * bound}
+        if evolver.certificate["observable_bound"] < tol:
+            return basis, evolver
+        if cutoff == ceiling:
+            break
+        cutoff = min(max(cutoff + 2, (5 * cutoff + 3) // 4), ceiling)
     raise ConvergenceError(
         f"cutoff ceiling {ceiling} reached without convergence; "
         "unstable or strong-pump regime, raise the ceiling or shorten t"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityent import binomial as bi
 from cavityent import fock
@@ -16,7 +18,7 @@ class TestBasis:
         for n_a in range(5):
             for n_b in range(8):
                 flat = basis.index(n_a, n_b)
-                assert basis.occupation(flat) == (n_a, n_b)
+                assert divmod(flat, basis.cutoff_b + 1) == (n_a, n_b)
                 seen.add(flat)
         assert seen == set(range(basis.dim))
 
@@ -69,19 +71,25 @@ class TestHamiltonian:
         assert (h != h.T).nnz == 0
 
 
+def _evolve(psi0, h, t):
+    out = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0)).at(psi0, t)
+    assert abs(np.linalg.norm(out) - 1.0) <= 1e-9, "norm drift during evolution"
+    return out
+
+
 class TestEvolution:
     def test_identity_at_t0(self):
         p = ModelParams(1.0, 0.1, 0.1, 2)
         basis = fock.TruncatedBasis(10, 10)
         h = fock.build_hamiltonian(p, basis)
         psi0 = fock.fock_state(basis, 2, 0)
-        np.testing.assert_allclose(fock.evolve(psi0, h, 0.0), psi0, atol=1e-14)
+        np.testing.assert_allclose(_evolve(psi0, h, 0.0), psi0, atol=1e-14)
 
     def test_norm_preserved(self):
         p = ModelParams(1.0, 0.08, 0.06, 3)
         basis = fock.TruncatedBasis(24, 24)
         h = fock.build_hamiltonian(p, basis)
-        psi = fock.evolve(fock.fock_state(basis, 3, 0), h, 40.0)
+        psi = _evolve(fock.fock_state(basis, 3, 0), h, 40.0)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_pump_free_matches_binomial_magnitudes(self):
@@ -95,7 +103,7 @@ class TestEvolution:
         psi0 = fock.fock_state(basis, N, 0)
         for s in (0.1, 0.25, 0.4, 0.75):
             t = to_physical_time(s, p)
-            grid = fock.evolve(psi0, h, t).reshape(N + 1, N + 1)
+            grid = _evolve(psi0, h, t).reshape(N + 1, N + 1)
             closed = bi.binomial_state(p, t)
             for n in range(N + 1):
                 assert abs(grid[N - n, n]) == pytest.approx(abs(closed[n]), abs=1e-9)
@@ -117,7 +125,7 @@ class TestEvolution:
 
 
 def _shell(basis):
-    return np.array([sum(basis.occupation(i)) for i in range(basis.dim)])
+    return np.array([sum(divmod(i, basis.cutoff_b + 1)) for i in range(basis.dim)])
 
 
 def _full_basis_states(h, psi0, times):
@@ -193,7 +201,7 @@ class TestObservables:
         basis = fock.TruncatedBasis(N, N)
         h = fock.build_hamiltonian(p, basis)
         t = to_physical_time(0.25, p)
-        obs = fock.observables(fock.evolve(fock.fock_state(basis, N, 0), h, t), basis)
+        obs = fock.observables(_evolve(fock.fock_state(basis, N, 0), h, t), basis)
         assert obs["Y"] == pytest.approx(N / (math.sqrt(2.0) * (N + 1)), abs=1e-10)
 
     def test_unnormalized_state_rejected(self):
@@ -212,8 +220,8 @@ class TestObservables:
         psi0 = fock.fock_state(basis, N, 0)
         for s in (0.1, 0.25, 0.6):
             t = to_physical_time(s, p)
-            y0 = fock.observables(fock.evolve(psi0, h0, t), basis)["Y"]
-            y1 = fock.observables(fock.evolve(psi0, h1, t), basis)["Y"]
+            y0 = fock.observables(_evolve(psi0, h0, t), basis)["Y"]
+            y1 = fock.observables(_evolve(psi0, h1, t), basis)["Y"]
             assert abs(y1 - y0) < 1e-8
 
 
@@ -228,7 +236,7 @@ class TestEntropy:
         basis = fock.TruncatedBasis(N, N)
         h = fock.build_hamiltonian(p, basis)
         t = to_physical_time(0.25, p)
-        psi = fock.evolve(fock.fock_state(basis, N, 0), h, t)
+        psi = _evolve(fock.fock_state(basis, N, 0), h, t)
         s = fock.reduced_entropy(psi, basis)
         assert s == pytest.approx(bi.entropy(bi.reduced_spectrum(p, t)), abs=1e-10)
         assert s == pytest.approx(2.198, abs=1e-3)
@@ -241,23 +249,24 @@ class TestConvergence:
         basis, ev = fock.check_convergence(p, 10.0)
         assert (basis.cutoff_a, basis.cutoff_b) == (7, 7)
         assert ev.sector.sum() == 8
+        assert ev.certificate == {"leak_bound": 0.0, "observable_bound": 0.0}
 
     def test_ceiling_raises(self):
         # deep in the unstable regime no finite cutoff settles
         p = ModelParams(1.0, 0.1, 0.6, 5)
         with pytest.raises(fock.ConvergenceError):
-            fock.check_convergence(p, to_physical_time(0.5, p), ceiling=24, n_probe=2)
+            fock.check_convergence(p, to_physical_time(0.5, p), ceiling=24)
 
     def test_weak_pump_converges_quickly(self):
         p = ModelParams(1.0, 0.1, 0.02, 2)
-        basis, _ = fock.check_convergence(p, to_physical_time(0.5, p), n_probe=3)
+        basis, _ = fock.check_convergence(p, to_physical_time(0.5, p))
         assert basis.cutoff_a <= 32
 
     def test_returned_evolver_matches_fresh_build(self):
         p = ModelParams(1.0, 0.1, 0.02, 2)
         times = to_physical_time(np.linspace(0.0, 0.5, 4), p)
-        basis, ev = fock.check_convergence(p, times[-1], n_probe=3)
-        h = fock.build_hamiltonian(p, basis)
+        basis, ev = fock.check_convergence(p, times[-1])
+        _, h, _ = fock.truncation(p, basis.cutoff_a)
         psi0 = fock.fock_state(basis, 2, 0)
         fresh = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
         np.testing.assert_array_equal(ev.sector, fresh.sector)
@@ -266,10 +275,112 @@ class TestConvergence:
         )
 
 
+def _rung(p, cutoff, drive=0.0):
+    """(basis, evolver, leak, |N, 0>) on n_a + n_b <= cutoff."""
+    basis, h, leak = fock.truncation(p, cutoff, drive)
+    psi0 = fock.fock_state(basis, p.n_initial, 0)
+    return basis, fock.SpectralEvolver(h, fock.reachable_sector(h, psi0)), leak, psi0
+
+
+def _on_box(psi, cutoff):
+    """psi from a smaller square box, zero-padded onto the (cutoff, cutoff) box."""
+    side = math.isqrt(psi.size)
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    grid[:side, :side] = psi.reshape(side, side)
+    return grid.ravel()
+
+
+def _distances_and_bounds(p, cutoffs, reference, times, drive=0.0):
+    """(K, t, |psi_K(t) - psi_R(t)|, B_K(t) + B_R(t)) for each K in cutoffs, R = reference."""
+    _, ev_r, leak_r, psi_r = _rung(p, reference, drive)
+    states_r = ev_r.at_times(psi_r, times)
+    bounds_r = [ev_r.leak_bound(leak_r, psi_r, t) for t in times]
+    rows = []
+    for cutoff in cutoffs:
+        _, ev_k, leak_k, psi_k = _rung(p, cutoff, drive)
+        for t, state_k, state_r, b_r in zip(times, ev_k.at_times(psi_k, times), states_r, bounds_r):
+            gap = np.linalg.norm(_on_box(state_k, reference) - state_r)
+            rows.append((cutoff, t, gap, ev_k.leak_bound(leak_k, psi_k, t) + b_r))
+    return rows
+
+
+# eigensolver rounding in the two states compared; far below every bound
+# that matters, and the leak bound itself carries no slack
+ROUNDING = 1e-12
+
+BOUND_CASES = [(0.1, 0.1, 5), (0.05, 0.2, 3), (0.15, 0.05, 2)]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("lam, eps, n0", BOUND_CASES)
+    def test_leak_bound_covers_distance_to_large_rung(self, lam, eps, n0):
+        # |psi_K - psi_R| <= |psi_K - psi| + |psi - psi_R| <= B_K + B_R
+        p = ModelParams(1.0, lam, eps, n0)
+        times = to_physical_time(np.array([0.25, 0.5, 1.0]), p)
+        for cutoff, t, gap, bound in _distances_and_bounds(p, (17, 22, 28, 35), 70, times):
+            assert gap <= bound + ROUNDING, (cutoff, t, gap, bound)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(
+        lam=st.floats(0.02, 0.2),
+        eps=st.floats(0.0, 0.3),
+        drive=st.sampled_from([0.0, 0.0, 0.05]),
+        n0=st.integers(0, 5),
+        extra=st.integers(0, 12),
+        scaled=st.floats(0.05, 1.0),
+    )
+    def test_leak_bound_holds_over_stable_draws(self, lam, eps, drive, n0, extra, scaled):
+        p = ModelParams(1.0, lam, eps, n0)
+        t = to_physical_time(scaled, p)
+        ((_, _, gap, bound),) = _distances_and_bounds(p, [n0 + extra], 32, [t], drive)
+        assert gap <= bound + ROUNDING
+
+    def test_leak_bound_grows_with_time(self):
+        p = ModelParams(1.0, 0.1, 0.1, 5)
+        _, ev, leak, psi0 = _rung(p, 17)
+        bounds = [ev.leak_bound(leak, psi0, t) for t in np.linspace(0.0, 40.0, 9)]
+        assert bounds[0] == 0.0
+        assert np.all(np.diff(bounds) > 0.0)
+
+    @pytest.mark.parametrize(
+        "lam, eps, n0, scaled, drive",
+        [(0.1, 0.1, 5, 1.0, 0.0), (0.15, 0.05, 2, 1.0, 0.0), (0.1, 0.02, 2, 0.5, 0.0),
+         (0.1, 0.0, 3, 1.0, 0.05), (0.1, 0.05, 3, 1.0, 0.05)],
+        ids=["oracle-check", "weak-pump", "weak-pump-short", "drive", "drive-and-pump"],
+    )
+    def test_certified_rung_agrees_with_doubled_rung(self, lam, eps, n0, scaled, drive):
+        # the rule the bound replaced, kept as a cross-check: it also covers
+        # the second-order term the observable bound leaves out
+        tol = 1e-6
+        p = ModelParams(1.0, lam, eps, n0)
+        t_max = to_physical_time(scaled, p)
+        basis, ev = fock.check_convergence(p, t_max, tol=tol, linear_drive=drive)
+        assert ev.certificate["observable_bound"] < tol
+        doubled, ev2, _, psi2 = _rung(p, 2 * basis.cutoff_a, drive)
+        psi0 = fock.fock_state(basis, n0, 0)
+        times = np.linspace(0.0, t_max, 9)
+        for psi, psi_2 in zip(ev.at_times(psi0, times), ev2.at_times(psi2, times)):
+            obs, ref = fock.observables(psi, basis), fock.observables(psi_2, doubled)
+            for key in ("Y", "mean_na", "mean_nb"):
+                assert abs(obs[key] - ref[key]) < tol, key
+
+    def test_pump_free_rung_certifies_itself(self):
+        p = ModelParams(1.0, 0.1, 0.0, 5)
+        basis, ev = fock.check_convergence(p, to_physical_time(1.0, p), tol=1e-14)
+        assert basis.cutoff_a == 5
+        assert ev.certificate["leak_bound"] == 0.0
+
+    def test_linear_drive_certifies(self):
+        p = ModelParams(1.0, 0.1, 0.0, 3)
+        basis, ev = fock.check_convergence(p, to_physical_time(1.0, p), linear_drive=0.05)
+        assert 3 < basis.cutoff_a < 24
+        assert 0.0 < ev.certificate["observable_bound"] < 1e-6
+        # a drive reaches both parities
+        assert ev.sector.sum() == (basis.cutoff_a + 1) * (basis.cutoff_a + 2) // 2
+
+
 class TestAgreementWithTransport:
     def test_random_draws_match_moment_transport(self):
-        # stable-regime draws; cutoffs stay <= 64 so the eigensolver fits
-        # comfortably in memory
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(6):
@@ -278,7 +389,7 @@ class TestAgreementWithTransport:
             n0 = int(rng.integers(1, 6))
             p = ModelParams(1.0, lam, eps, n0)
             t_max = to_physical_time(0.5, p)
-            basis, ev = fock.check_convergence(p, t_max, tol=1e-6, n_probe=3, ceiling=64)
+            basis, ev = fock.check_convergence(p, t_max, tol=1e-6, ceiling=64)
             psi0 = fock.fock_state(basis, n0, 0)
             for t in np.linspace(0.0, t_max, 5):
                 obs = fock.observables(ev.at(psi0, t), basis)
