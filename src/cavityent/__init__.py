@@ -7,6 +7,7 @@ Submodules:
     fock          -- truncated-Fock-space brute-force oracle
     fluctuations  -- Monte-Carlo pump-fluctuation ensembles
     figures       -- data tables behind each figure subcommand
+    audit         -- cross-checks: published formulas, every route against the others
     cli           -- command-line front end
 """
 

@@ -56,40 +56,25 @@ def covariance_measure_closed(n_total, lam, t):
     return num / den
 
 
-def state_moments(amplitudes):
-    """First and second moments of a state in the fixed-N sector.
+def covariance_measure_from_state(amplitudes):
+    """Y computed directly from sector amplitudes (must match the closed form).
 
-    Returns a dict with <a>, <b>, <ab>, <ab^dag>, <a^dag a>, <b^dag b>.
     Operators that change the total photon number have zero expectation
-    inside the sector.
+    inside the sector: <a>, <b> and <ab> vanish, so cov(a, b) = 0 and
+    cov(a, b^dag) = <a b^dag>.
     """
     amps = np.asarray(amplitudes, dtype=complex)
-    n_total = len(amps) - 1
-    n = np.arange(n_total + 1)
     prob = np.abs(amps) ** 2
-    # a b^dag |N-n, n>  ->  sqrt((N-n)(n+1)) |N-n-1, n+1>
-    hop = np.sqrt((n_total - n[:-1]) * (n[:-1] + 1.0))
-    exp_abdag = np.sum(np.conj(amps[1:]) * amps[:-1] * hop)
-    return {
-        "mean_a": 0.0 + 0.0j,
-        "mean_b": 0.0 + 0.0j,
-        "exp_ab": 0.0 + 0.0j,
-        "exp_abdag": exp_abdag,
-        "mean_na": float(np.sum(prob * (n_total - n))),
-        "mean_nb": float(np.sum(prob * n)),
-    }
-
-
-def covariance_measure_from_state(amplitudes):
-    """Y computed directly from sector amplitudes (must match the closed form)."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    norm = np.sum(np.abs(amps) ** 2)
+    norm = np.sum(prob)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
-    m = state_moments(amps)
-    cov_abdag = m["exp_abdag"] - m["mean_a"] * np.conj(m["mean_b"])
-    cov_ab = m["exp_ab"] - m["mean_a"] * m["mean_b"]
-    return float(covariance_measure(cov_ab, cov_abdag, m["mean_na"], m["mean_nb"]))
+    n_total = len(amps) - 1
+    n = np.arange(n_total + 1)
+    # a b^dag |N-n, n>  ->  sqrt((N-n)(n+1)) |N-n-1, n+1>
+    hop = np.sqrt((n_total - n[:-1]) * (n[:-1] + 1.0))
+    cov_abdag = np.sum(np.conj(amps[1:]) * amps[:-1] * hop)
+    return float(covariance_measure(0.0, cov_abdag, np.sum(prob * (n_total - n)),
+                                    np.sum(prob * n)))
 
 
 def reduced_spectrum(params, t):

@@ -4,12 +4,13 @@ Usage:
     cavityent SUBCOMMAND [--config PATH] [--KEY VALUE ...]
 
 One table, COMMANDS, says which settings each subcommand takes and which
-keyword argument of its `figures` function each one fills; KEYS says how
-each setting's text is parsed.  Both the flags (`--t-max-scaled`) and the
-config keys (`t_max_scaled = 2.0`) of a subcommand are built from that
-table, so a flag or config key the subcommand does not take is a usage
-error that names it, never silently dropped.  `cavityent SUBCOMMAND -h`
-lists the accepted flags.
+keyword argument of its function (in `figures`, or `audit` for
+oracle-check) each one fills; KEYS says how each setting's text is
+parsed.  Both the flags (`--t-max-scaled`) and the config keys
+(`t_max_scaled = 2.0`) of a subcommand are built from that table, so a
+flag or config key the subcommand does not take is a usage error that
+names it, never silently dropped.  `cavityent SUBCOMMAND -h` lists the
+accepted flags.
 
 Settings resolve as: built-in defaults < config file (key = value lines)
 < command-line flags.  Config keys are the long flag names with
@@ -19,9 +20,10 @@ Exit codes: 0 success, 1 usage error, 2 numerical tolerance breach,
 """
 
 import argparse
+import math
 import sys
 
-from . import figures, serialize
+from . import audit, figures, serialize
 from .fock import ConvergenceError
 
 EXIT_OK = 0
@@ -80,10 +82,10 @@ def count(text):
 
 
 def positive(text):
-    """A real number > 0."""
+    """A finite real number > 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
     return value
 
 
@@ -102,14 +104,14 @@ KEYS = {
     "omega": (float, "mode frequency"),
     "lambda": (float, "cavity-cavity hopping strength"),
     "n_initial": (int, "photon number N of the initial |N,0>"),
-    "t_max_scaled": (float, "end time in units of pi/lambda"),
+    "t_max_scaled": (positive, "end time in units of pi/lambda"),
     "points": (count, "time grid points"),
     "pairs": (parse_pairs, "semicolon-separated lambda,epsilon pairs"),
     "lambdas": (parse_floats, "comma-separated hopping strengths"),
     "n_values": (parse_ints, "comma-separated initial photon numbers"),
     "eps_max": (float, "largest pump strength of the scan"),
     "eps_points": (count, "pump strengths in the scan"),
-    "window_scaled": (float, "maximisation window in units of pi/lambda"),
+    "window_scaled": (positive, "maximisation window in units of pi/lambda"),
     "mean_epsilon": (float, "mean pump amplitude"),
     "trials": (count, "ensemble trials"),
     "segments": (count, "piecewise-constant pump segments per trial"),
@@ -119,7 +121,7 @@ KEYS = {
     "convergence_tol": (positive, "Fock cutoff convergence tolerance"),
 }
 
-# subcommand -> (name of its figures function, looked up when called,
+# subcommand -> ((module, name) of its function, looked up when called,
 # {setting key: its keyword argument}).  `out` and `format` map to None:
 # the CLI itself uses them to write the result.
 _OUTPUT = {"out": None, "format": None}
@@ -128,20 +130,20 @@ _TRACE = {"t_max_scaled": "t_max_scaled", "points": "points"}
 _SCAN = {"eps_max": "eps_max", "eps_points": "eps_points", "points": "points",
          "window_scaled": "window_scaled"}
 COMMANDS = {
-    "fig1": ("fig1", {**_OUTPUT, "omega": "omega", "lambda": "lam", **_TRACE,
-                      "n_values": "n_values"}),
-    "fig2": ("fig2", {**_OUTPUT, **_MODEL, "lambda": "lam", **_TRACE}),
-    "fig3": ("fig3", {**_OUTPUT, **_MODEL, "pairs": "pairs", **_TRACE}),
-    "fig4": ("fig4", {**_OUTPUT, **_MODEL, "pairs": "pairs", **_TRACE}),
-    "fig5": ("fig5", {**_OUTPUT, **_MODEL, "lambdas": "lambdas", **_SCAN}),
-    "sweep": ("sweep", {**_OUTPUT, **_MODEL, "lambda": "lam", **_SCAN}),
-    "fig6": ("fig6", {**_OUTPUT, **_MODEL, "lambdas": "lambdas",
-                      "mean_epsilon": "mean_epsilon", "trials": "n_trials",
-                      "segments": "n_segments", "t_max_scaled": "total_scaled_time",
-                      "seed": "master_seed", "spread": "spread"}),
-    "oracle-check": ("oracle_check", {"out": None, **_MODEL, "seed": "seed",
-                                      "draws": "n_random_draws",
-                                      "convergence_tol": "convergence_tol"}),
+    "fig1": ((figures, "fig1"), {**_OUTPUT, "omega": "omega", "lambda": "lam", **_TRACE,
+                                 "n_values": "n_values"}),
+    "fig2": ((figures, "fig2"), {**_OUTPUT, **_MODEL, "lambda": "lam", **_TRACE}),
+    "fig3": ((figures, "fig3"), {**_OUTPUT, **_MODEL, "pairs": "pairs", **_TRACE}),
+    "fig4": ((figures, "fig4"), {**_OUTPUT, **_MODEL, "pairs": "pairs", **_TRACE}),
+    "fig5": ((figures, "fig5"), {**_OUTPUT, **_MODEL, "lambdas": "lambdas", **_SCAN}),
+    "sweep": ((figures, "sweep"), {**_OUTPUT, **_MODEL, "lambda": "lam", **_SCAN}),
+    "fig6": ((figures, "fig6"), {**_OUTPUT, **_MODEL, "lambdas": "lambdas",
+                                 "mean_epsilon": "mean_epsilon", "trials": "n_trials",
+                                 "segments": "n_segments", "t_max_scaled": "total_scaled_time",
+                                 "seed": "master_seed", "spread": "spread"}),
+    "oracle-check": ((audit, "oracle_check"), {"out": None, **_MODEL, "seed": "seed",
+                                               "draws": "n_random_draws",
+                                               "convergence_tol": "convergence_tol"}),
 }
 REQUIRED = {"sweep": ("lambda",)}
 
@@ -187,11 +189,11 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 
-    function, keys = COMMANDS[args.subcommand]
+    (module, function), keys = COMMANDS[args.subcommand]
     kwargs = {keys[key]: value for key, value in settings.items() if keys[key]}
     out = settings.get("out")
     try:
-        result = getattr(figures, function)(**kwargs)
+        result = getattr(module, function)(**kwargs)
         if args.subcommand == "oracle-check":
             report, ok = result
             serialize.write_report(report, out)

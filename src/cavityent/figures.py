@@ -7,8 +7,8 @@ layouts are part of the CLI contract and must stay stable.
 
 import numpy as np
 
-from . import binomial, fluctuations, fock, heisenberg
-from .params import ModelParams, covariance_measure, to_physical_time, validate
+from . import binomial, fluctuations, heisenberg
+from .params import ModelParams, to_physical_time, validate
 
 FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
@@ -27,6 +27,7 @@ def fig1(omega=1.0, lam=0.1, t_max_scaled=1.0, points=1001, n_values=(1, 5, 10, 
     t = to_physical_time(t_scaled, params)
     columns = {"t_scaled": t_scaled}
     for n in n_values:
+        validate(ModelParams(omega, lam, 0.0, n))
         columns[f"Y_N{n}"] = binomial.covariance_measure_closed(n, lam, t)
     meta = {"omega": omega, "lambda": lam, "t_max_scaled": t_max_scaled,
             "points": points, "n_values": list(n_values)}
@@ -161,105 +162,3 @@ def fig6(
             max_std, max_cv = fluctuations.spread_statistics(ens)
             meta["spread_statistics"][tag] = {"max_std": max_std, "max_cv": max_cv}
     return columns, meta
-
-
-def oracle_check(
-    omega=1.0,
-    n_initial=5,
-    seed=2024,
-    n_random_draws=25,
-    pumped_params=(0.1, 0.1),
-    convergence_tol=1e-6,
-):
-    """Dual-path audit: closed forms vs transport vs the Fock oracle.
-
-    Returns (report, ok).  ok is False on any tolerance breach in the
-    certified sections; the published-formula audits are report-only.
-    """
-    report = {"seed": seed, "sections": {}}
-    ok = True
-
-    # pump-free triple path: closed form / sector state / transport / oracle
-    lam = 0.1
-    params = validate(ModelParams(omega, lam, 0.0, n_initial))
-    t_grid = to_physical_time(np.linspace(0.0, 0.5, 101), params)
-    y_closed = binomial.covariance_measure_closed(n_initial, lam, t_grid)
-    y_state = np.array([
-        binomial.covariance_measure_from_state(binomial.binomial_state(params, t))
-        for t in t_grid
-    ])
-    y_transport = heisenberg.covariance_series(params, t_grid)
-    basis, ev = fock.check_convergence(params, t_grid[-1])  # pump-free: the exact N rung
-    psi0 = fock.fock_state(basis, n_initial, 0)
-    y_oracle = np.array([
-        fock.observables(psi, basis)["Y"] for psi in ev.at_times(psi0, t_grid)
-    ])
-    triple = {
-        "state_vs_closed": float(np.abs(y_state - y_closed).max()),
-        "transport_vs_closed": float(np.abs(y_transport - y_closed).max()),
-        "oracle_vs_closed": float(np.abs(y_oracle - y_closed).max()),
-        "tolerance": 1e-8,
-    }
-    triple["pass"] = max(triple["state_vs_closed"], triple["transport_vs_closed"],
-                         triple["oracle_vs_closed"]) < triple["tolerance"]
-    ok &= triple["pass"]
-    report["sections"]["pump_free_triple_path"] = triple
-
-    # propagator: Cayley-Hamilton vs dense exponential, sign audit included
-    rng = np.random.default_rng(seed)
-    ch_section = {"draws": n_random_draws, "tolerance": 1e-9,
-                  "max_corrected": 0.0, "max_printed": 0.0}
-    for _ in range(n_random_draws):
-        p = ModelParams(omega, rng.uniform(1e-3, 0.2), rng.uniform(0.0, 0.5), n_initial)
-        t = rng.uniform(0.0, 2.0) * np.pi / p.lam
-        errs = heisenberg.ch_sign_audit(p, [t])
-        ch_section["max_corrected"] = max(ch_section["max_corrected"], errs["corrected"])
-        ch_section["max_printed"] = max(ch_section["max_printed"], errs["printed"])
-    ch_section["pass"] = ch_section["max_corrected"] < ch_section["tolerance"]
-    ok &= ch_section["pass"]
-    report["sections"]["ch_vs_dense_exponential"] = ch_section
-
-    # published moment formulas: audited, never gated on
-    audit_rows = []
-    for lam_a, eps_a in ((0.1, 0.1), (0.001, 0.1), (0.1, 0.001), (0.05, 0.3)):
-        p = ModelParams(omega, lam_a, eps_a, n_initial)
-        times = to_physical_time(np.linspace(0.0, 1.0, 21), p)
-        dev = heisenberg.closed_form_audit(p, times)
-        audit_rows.append({"lambda": lam_a, "epsilon": eps_a, "max_deviation": dev})
-    report["sections"]["published_moment_formulas_audit"] = {
-        "note": "report-only: transport path is authoritative",
-        "rows": audit_rows,
-    }
-
-    # pumped transport vs the Fock oracle, at the cutoff its leak bound
-    # certifies (leak_bound at t_max, and the observable bound it implies)
-    lam_p, eps_p = pumped_params
-    p = validate(ModelParams(omega, lam_p, eps_p, n_initial))
-    t_max = to_physical_time(1.0, p)
-    basis, ev = fock.check_convergence(p, t_max, tol=convergence_tol)
-    psi0 = fock.fock_state(basis, p.n_initial, 0)
-    probes = np.linspace(0.0, t_max, 17)[1:]
-    cab, cabd, na, nb = heisenberg.transported_moment_arrays(p, probes)
-    y = covariance_measure(cab, cabd, na, nb)
-    max_dev = 0.0
-    for k, psi in enumerate(ev.at_times(psi0, probes)):
-        obs = fock.observables(psi, basis)
-        max_dev = max(
-            max_dev,
-            abs(obs["cov_ab"] - cab[k]),
-            abs(obs["cov_ab_dagger"] - cabd[k]),
-            abs(obs["mean_na"] - na[k]),
-            abs(obs["mean_nb"] - nb[k]),
-            abs(obs["Y"] - y[k]),
-        )
-    pumped = {"lambda": lam_p, "epsilon": eps_p,
-              "truncation": "n_a + n_b <= cutoff", "cutoff": basis.cutoff_a,
-              **ev.certificate,
-              "max_deviation": float(max_dev),
-              "tolerance": max(1e-5, 10.0 * convergence_tol)}
-    pumped["pass"] = pumped["max_deviation"] < pumped["tolerance"]
-    ok &= pumped["pass"]
-    report["sections"]["pumped_transport_vs_oracle"] = pumped
-
-    report["pass"] = bool(ok)
-    return report, bool(ok)

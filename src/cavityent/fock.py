@@ -27,8 +27,8 @@ exact state by that coupling along the truncated evolution.
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.special import xlogy
 
+from .binomial import entropy
 from .params import covariance_measure
 
 
@@ -201,7 +201,7 @@ def _cre_b(psi_grid):
 
 
 def observables(state, basis):
-    """First/second moments, covariances and Y for a normalized state."""
+    """Covariances, mean photon numbers and Y for a normalized state."""
     psi = _grid(state, basis)
     norm = np.vdot(psi, psi).real
     if abs(norm - 1.0) > 1e-6:
@@ -221,10 +221,6 @@ def observables(state, basis):
     nbar_a = mean_na - abs(mean_a) ** 2
     nbar_b = mean_nb - abs(mean_b) ** 2
     return {
-        "mean_a": mean_a,
-        "mean_b": mean_b,
-        "exp_ab": exp_ab,
-        "exp_abdag": exp_abdag,
         "cov_ab": cov_ab,
         "cov_ab_dagger": cov_abdag,
         "mean_na": mean_na,
@@ -239,8 +235,7 @@ def reduced_entropy(state, basis):
     # rho_a = psi psi^dag traced over b; its eigenvalues are the squared
     # singular values of the amplitude grid
     s = np.linalg.svd(psi, compute_uv=False)
-    p = np.clip(s ** 2, 0.0, None)
-    return float(-np.sum(xlogy(p, p)) / np.log(2.0))
+    return entropy(np.clip(s ** 2, 0.0, None))
 
 
 def truncation(params, cutoff, linear_drive=0.0):

@@ -9,13 +9,7 @@ the authoritative route to the covariance measure.  G(0) has three nonzeros,
 (0,2) = N+1, (1,3) = 1 and (2,0) = N, so the congruence is evaluated only at
 the four entries Y reads, each a three-term sum
 G_ij = (N+1) S_i0 S_j2 + S_i1 S_j3 + N S_i2 S_j0.  The published structure-
-function formulas for the same moments are kept as an audit, not trusted.
-
-Sign convention for the Cayley-Hamilton coefficients: c0 and c1 here are
-rederived from the four interpolation conditions
-c0 + c1 th + c2 th^2 + c3 th^3 = exp(-i th t), th in {+-alpha, +-gamma};
-the variant with both signs flipped (see printed_ch_coefficients) gives
-exp(0) = -I and is retained only for the audit.
+function formulas for the same moments are audited in `audit`, not trusted.
 """
 
 from dataclasses import dataclass
@@ -24,8 +18,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .params import covariance_measure
-
-SIGMA = np.diag([1.0, 1.0, -1.0, -1.0])
 
 DEGENERACY_TOL = 1e-10
 
@@ -41,16 +33,6 @@ class SpectralData:  # every field is shaped like epsilon
     alpha: np.ndarray    # sqrt(A - 2B); imaginary in the parametrically unstable regime
     gamma: np.ndarray    # sqrt(A + 2B)
     unstable: np.ndarray
-
-
-@dataclass(frozen=True)
-class StructureFunctions:
-    u: complex
-    v: complex
-    w: complex
-    x: complex
-    y_coef: complex
-    z_coef: complex
 
 
 def build_matrix(params):
@@ -114,13 +96,6 @@ def ch_coefficients(spec_data, t):
     return np.stack(np.broadcast_arrays(c0, c1, c2, c3))
 
 
-def printed_ch_coefficients(spec_data, t):
-    """Coefficients with the published signs on the I and M terms (audit only)."""
-    c = ch_coefficients(spec_data, t)
-    c[:2] *= -1.0
-    return c
-
-
 def _ch_sum(c, m):
     """c0 I + c1 M + c2 M^2 + c3 M^3 entry-major: [i][j] shaped like broadcast(c[0], M_ij)."""
     c0, c1, c2, c3 = c
@@ -163,29 +138,6 @@ def propagators(params, t):
     """
     s, shape = _propagator_entries(params, t)
     return _matrix(s).reshape(shape + (4, 4))
-
-
-def structure_functions(params, t, sign_omega=1, sign_lambda=1):
-    """The six published polynomials in c0..c3, at signed arguments.
-
-    The signs substitute omega -> sign_omega*omega, lambda -> sign_lambda*lambda
-    as the published subscripts indicate; the coefficients themselves only
-    depend on omega^2 and lambda^2 and are sign-invariant.
-    """
-    sd = spectral(params)
-    c0, c1, c2, c3 = ch_coefficients(sd, t)
-    w = sign_omega * params.omega
-    l = sign_lambda * params.lam
-    e = params.epsilon
-    a_val = sd.A
-    return StructureFunctions(
-        u=c0 + w * c1 + (a_val - 2.0 * e * e) * c2 + w * (2.0 * l * l - 2.0 * e * e + a_val) * c3,
-        v=l * c1 + 2.0 * l * w * c2 + l * (2.0 * w * w - 2.0 * e * e + a_val) * c3,
-        w=2.0 * e * c1 + 2.0 * e * (l * l + a_val) * c3,
-        x=c0 + w * c1 + (l * l + w * w) * c2 + w * (3.0 * l * l + w * w) * c3,
-        y_coef=2.0 * e * (l * c2 + w * c3),
-        z_coef=-2.0 * l * l * e * c3,
-    )
 
 
 def initial_moments(n_initial):
@@ -235,23 +187,6 @@ def _read_moments(entry):
     return entry(0, 1), entry(0, 3), entry(2, 0).real, entry(3, 1).real
 
 
-def moments_closed_form(params, t):
-    """The published moment formulas, evaluated verbatim (audit path).
-
-    Same layout as transported_moment_arrays; any disagreement with it is
-    data for the audit report, the transport path stays authoritative.
-    """
-    n = params.n_initial
-    f_pp = structure_functions(params, t, +1, +1)
-    f_mm = structure_functions(params, t, -1, -1)
-    f_mp = structure_functions(params, t, -1, +1)
-    cov_ab = (1 + n) * f_pp.x * f_pp.y_coef + n * f_pp.w * f_pp.v + f_pp.v * f_pp.z_coef
-    cov_abd = (1 + n) * f_pp.u * f_mm.v + n * f_pp.w * f_mp.y_coef + f_pp.v * f_mm.x
-    mean_na = (1 + n) * f_pp.u * f_mm.u - n * f_pp.w ** 2 + f_pp.v * f_mm.v - 1.0
-    mean_nb = (1 + n) * f_pp.v * f_mm.v + n * f_pp.y_coef * f_mp.y_coef + f_pp.x * f_mm.x - 1.0
-    return cov_ab, cov_abd, np.real(mean_na), np.real(mean_nb)
-
-
 def covariance_series(params, t):
     """Y via moment transport at a scalar or array t."""
     return covariance_measure(*transported_moment_arrays(params, t))
@@ -264,32 +199,3 @@ def photon_ratio_series(params, t):
     if np.any(total <= 0):
         raise ValueError("photon difference ratio undefined at zero total photons")
     return np.abs(na - nb) / total
-
-
-def closed_form_audit(params, times):
-    """Deviation of the published moment formulas from the transport path.
-
-    Returns per-quantity maximum absolute deviations over the grid.
-    """
-    times = np.asarray(times, dtype=float)
-    reference = transported_moment_arrays(params, times)
-    audited = moments_closed_form(params, times)
-    keys = ("cov_ab", "cov_ab_dagger", "mean_na", "mean_nb")
-    return {k: float(np.abs(a - r).max(initial=0.0)) for k, a, r in zip(keys, audited, reference)}
-
-
-def ch_sign_audit(params, times):
-    """Max reconstruction error of exp(-itM) for corrected vs published signs."""
-    times = np.asarray(times, dtype=float)
-    m = build_matrix(params)
-    sd = spectral(params)
-    exact = expm(-1j * times[:, None, None] * m)
-    scale = np.maximum(1.0, np.abs(exact).max(axis=(-2, -1)))
-    err = {}
-    for key, coeffs in (
-        ("corrected", ch_coefficients(sd, times)),
-        ("printed", printed_ch_coefficients(sd, times)),
-    ):
-        deviation = np.abs(_matrix(_ch_sum(coeffs, m)) - exact).max(axis=(-2, -1))
-        err[key] = float((deviation / scale).max(initial=0.0))
-    return err

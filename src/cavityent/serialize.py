@@ -32,15 +32,14 @@ def write_table(columns, meta, out=None, fmt="csv"):
         text = json_text(columns, meta)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
-    if out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _write(text, out)
 
 
 def write_report(report, out=None):
-    text = json.dumps(report, indent=2) + "\n"
+    _write(json.dumps(report, indent=2) + "\n", out)
+
+
+def _write(text, out):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavityent import cli, figures, serialize
+from cavityent import audit, cli, figures, serialize
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -35,14 +35,19 @@ _UNTAKEN = [
     if key not in keys
 ]
 
-# (subcommand, key, value) for every key that must be a count >= 1 or positive
+# (subcommand, key, value) for every key that must be a count >= 1 or finite and positive
 _NON_POSITIVE = [
     ("fig1", "points", "0"),
+    ("fig1", "t_max_scaled", "-1"),
     ("fig3", "points", "0"),
+    ("fig3", "t_max_scaled", "nan"),
+    ("fig3", "t_max_scaled", "inf"),
     ("fig5", "points", "0"),
     ("fig5", "eps_points", "0"),
+    ("fig5", "window_scaled", "0"),
     ("fig6", "trials", "0"),
     ("fig6", "segments", "0"),
+    ("fig6", "t_max_scaled", "0"),
     ("oracle-check", "draws", "0"),
     ("oracle-check", "draws", "-3"),
     ("oracle-check", "convergence_tol", "0"),
@@ -195,6 +200,11 @@ class TestCliEndToEnd:
         assert code == 1
         assert "uncoupled" in err
 
+    def test_negative_photon_number_in_fig1_is_usage_error(self, capsys):
+        code, out, err = run_cli(["fig1", "--points", "3", "--n-values", "5,-3"], capsys)
+        assert code == 1 and out == ""
+        assert "n_initial must be non-negative" in err
+
     @pytest.mark.parametrize("argv", [["fig5", "--points", "3"], ["fig6", "--segments", "3"]],
                              ids=lambda argv: argv[0])
     def test_uncoupled_lambdas_flag_is_usage_error(self, argv, capsys):
@@ -225,13 +235,13 @@ class TestCliEndToEnd:
         def boom(**kwargs):
             raise ConvergenceError("cutoff ceiling reached")
 
-        monkeypatch.setattr(figures, "oracle_check", boom)
+        monkeypatch.setattr(audit, "oracle_check", boom)
         code, _, err = run_cli(["oracle-check"], capsys)
         assert code == 3
         assert "ceiling" in err
 
     def test_oracle_check_failure_is_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(figures, "oracle_check",
+        monkeypatch.setattr(audit, "oracle_check",
                             lambda **kw: ({"pass": False, "sections": {}}, False))
         code, out, _ = run_cli(["oracle-check"], capsys)
         assert code == 2
@@ -255,8 +265,8 @@ class TestCommandTable:
             assert set(keys) <= set(cli.KEYS)
 
     def test_every_key_maps_to_a_keyword_of_its_function(self):
-        for function, keys in cli.COMMANDS.values():
-            params = inspect.signature(getattr(figures, function)).parameters
+        for (module, function), keys in cli.COMMANDS.values():
+            params = inspect.signature(getattr(module, function)).parameters
             for kwarg in keys.values():
                 assert kwarg is None or kwarg in params
 

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cavityent import audit
 from cavityent import binomial as bi
 from cavityent import heisenberg as hb
 from cavityent.params import ModelParams, covariance_measure, to_physical_time
+
+# symplectic form of (a, b, a^dag, b^dag): S SIGMA S^dag = SIGMA for every propagator
+SIGMA = np.diag([1.0, 1.0, -1.0, -1.0])
 
 
 def rel_err(a, b):
@@ -29,7 +33,7 @@ class TestCoefficientMatrix:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = ModelParams(1.0, rng.uniform(0, 1), rng.uniform(-1, 1), 0)
-            sm = hb.SIGMA @ hb.build_matrix(p)
+            sm = SIGMA @ hb.build_matrix(p)
             assert np.abs(sm - sm.conj().T).max() == 0.0
 
 
@@ -81,7 +85,7 @@ class TestChCoefficients:
 
     def test_printed_signs_fail_identity(self):
         sd = hb.spectral(ModelParams(1.0, 0.1, 0.1, 5))
-        printed = hb.printed_ch_coefficients(sd, 0.0)
+        printed = audit.printed_ch_coefficients(sd, 0.0)
         assert printed[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_interpolation_property(self):
@@ -120,7 +124,7 @@ class TestPropagator:
             assert rel_err(s, expm(-1j * t * hb.build_matrix(p))) < 1e-9
             # symplectic condition, scaled by ||S||^2 since the products
             # in S Sigma S^dag grow quadratically in unstable draws
-            sym = np.abs(s @ hb.SIGMA @ s.conj().T - hb.SIGMA).max()
+            sym = np.abs(s @ SIGMA @ s.conj().T - SIGMA).max()
             assert sym / max(1.0, np.abs(s).max() ** 2) < 1e-9
 
     def test_group_property(self):
@@ -196,20 +200,20 @@ class TestPropagator:
 
 class TestStructureFunctions:
     def test_identity_pattern_at_t0(self):
-        f = hb.structure_functions(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
+        f = audit.structure_functions(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
         assert f.u == pytest.approx(1.0, abs=1e-12)
         assert f.x == pytest.approx(1.0, abs=1e-12)
         for value in (f.v, f.w, f.y_coef, f.z_coef):
             assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_pump_free_kills_epsilon_factors(self):
-        f = hb.structure_functions(ModelParams(1.0, 0.1, 0.0, 5), 3.0)
+        f = audit.structure_functions(ModelParams(1.0, 0.1, 0.0, 5), 3.0)
         assert f.w == 0.0 and f.y_coef == 0.0 and f.z_coef == 0.0
 
     def test_signed_arguments_change_values(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
-        f_pp = hb.structure_functions(p, 4.0, +1, +1)
-        f_mm = hb.structure_functions(p, 4.0, -1, -1)
+        f_pp = audit.structure_functions(p, 4.0, +1, +1)
+        f_mm = audit.structure_functions(p, 4.0, -1, -1)
         assert f_pp.u != f_mm.u
 
 
@@ -359,7 +363,7 @@ class TestPhotonDifferenceRatio:
 
 class TestAudits:
     def test_closed_form_audit_consistent_at_t0(self):
-        cab, cabd, na, nb = hb.moments_closed_form(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
+        cab, cabd, na, nb = audit.moments_closed_form(ModelParams(1.0, 0.1, 0.1, 5), 0.0)
         assert cab == pytest.approx(0.0, abs=1e-12)
         assert cabd == pytest.approx(0.0, abs=1e-12)
         assert na == pytest.approx(5.0, abs=1e-12)
@@ -368,19 +372,19 @@ class TestAudits:
     def test_closed_form_grid_matches_scalar_times(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
         times = np.linspace(0.0, 31.4, 9)
-        grid = hb.moments_closed_form(p, times)
+        grid = audit.moments_closed_form(p, times)
         for k, t in enumerate(times):
-            for scalar, column in zip(hb.moments_closed_form(p, t), grid):
+            for scalar, column in zip(audit.moments_closed_form(p, t), grid):
                 assert scalar == pytest.approx(column[k], rel=1e-12, abs=1e-12)
 
     def test_closed_form_audit_reports_deviations(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
-        dev = hb.closed_form_audit(p, np.linspace(0.0, 31.4, 9))
+        dev = audit.closed_form_audit(p, np.linspace(0.0, 31.4, 9))
         assert set(dev) == {"cov_ab", "cov_ab_dagger", "mean_na", "mean_nb"}
         assert all(np.isfinite(v) for v in dev.values())
 
     def test_ch_sign_audit_separates_conventions(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
-        err = hb.ch_sign_audit(p, [0.0, 3.7, 31.4])
+        err = audit.ch_sign_audit(p, [0.0, 3.7, 31.4])
         assert err["corrected"] < 1e-9
         assert err["printed"] > 1e-2
