@@ -62,15 +62,22 @@ def parse_pairs(text):
             continue
         lam, eps = chunk.split(",")
         pairs.append((float(lam), float(eps)))
-    return tuple(pairs)
+    return _nonempty(tuple(pairs))
 
 
 def parse_floats(text):
-    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+    return _nonempty(tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip()))
 
 
 def parse_ints(text):
-    return tuple(int(v) for v in text.replace(";", ",").split(",") if v.strip())
+    return _nonempty(tuple(int(v) for v in text.replace(";", ",").split(",") if v.strip()))
+
+
+def _nonempty(values):
+    """A list setting must name at least one value: an empty one would give no data columns."""
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one value")
+    return values
 
 
 def count(text):

@@ -5,6 +5,9 @@ to 1-D array, plus the settings the table was produced from.  Column
 layouts are part of the CLI contract and must stay stable.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from . import binomial, fluctuations, heisenberg
@@ -88,21 +91,26 @@ def fig5(
     The maximization horizon is not fixed by the physics; the default is
     two scaled-time units, and meta carries the same scan at the
     sensitivity windows so the horizon dependence is visible.
+
+    The (lambda, epsilon) cells run on a thread pool with one thread per
+    CPU in the process's affinity mask (`taskset -c 0` gives a one-core
+    run).  Each cell is cut into as many time pieces as there are threads,
+    so the grid points in flight stay those of one cell.  A maximum is
+    exact in any order, so the output is byte-identical for any CPU count.
+    A cell whose moments overflow is refused with a ValueError naming it.
     """
     eps_grid = np.linspace(0.0, eps_max, eps_points)
     windows = sorted(set([window_scaled, *sensitivity_windows]))
     longest = max(windows)
     n_t = max(points, int(points * longest / window_scaled))
     t_scaled = np.linspace(0.0, longest, n_t)
+    cells = [validate(ModelParams(omega, lam, float(eps), n_initial))
+             for lam in lambdas for eps in eps_grid]
+    maxima = _window_maxima(cells, t_scaled, windows, _usable_cpus())
     columns = {"epsilon": eps_grid}
     sensitivity = {}
-    for lam in lambdas:
-        per_window = {w: np.empty(eps_points) for w in windows}
-        for i, eps in enumerate(eps_grid):
-            params = validate(ModelParams(omega, lam, float(eps), n_initial))
-            y = heisenberg.covariance_series(params, to_physical_time(t_scaled, params))
-            for w in windows:
-                per_window[w][i] = y[t_scaled <= w].max()
+    for lam, scan in zip(lambdas, maxima.reshape(len(lambdas), eps_points, len(windows))):
+        per_window = dict(zip(windows, scan.T))
         columns[f"max_Y_lam{lam:g}"] = per_window[window_scaled]
         sensitivity[f"lam{lam:g}"] = {
             f"window{w:g}": per_window[w].tolist() for w in windows if w != window_scaled
@@ -113,6 +121,50 @@ def fig5(
             "sensitivity_windows": [w for w in windows if w != window_scaled],
             "sensitivity": sensitivity}
     return columns, meta
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _window_maxima(cells, t_scaled, windows, workers):
+    """Max Y over t_scaled <= w for each cell and window; shape (len(cells), len(windows)).
+
+    Each cell's grid is cut into min(workers, len(t_scaled)) contiguous
+    pieces of ceil(n_t / pieces) points, and every (cell, piece) is one task
+    on a pool of `workers` threads, so at most `workers` pieces, about one
+    cell's grid, are in flight.  numpy releases the GIL inside its loops.
+    The first failing cell in `cells` order raises; pending tasks are then
+    cancelled and every thread is joined before the error propagates.
+    """
+    n_t = len(t_scaled)
+    size = -(-n_t // min(workers, n_t))
+    pieces = [t_scaled[k:k + size] for k in range(0, n_t, size)]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [[pool.submit(_piece_maxima, params, piece, windows) for piece in pieces]
+                   for params in cells]
+        return np.array([np.max([f.result() for f in row], axis=0) for row in futures])
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _piece_maxima(params, t_piece, windows):
+    # numpy's error state is per thread: a worker starts from the defaults
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = heisenberg.covariance_series(params, to_physical_time(t_piece, params))
+        maxima = [np.max(y, where=t_piece <= w, initial=-np.inf) for w in windows]
+    # windows are sorted and the last holds every point, so any non-finite Y
+    # shows there (a piece past a shorter window reads -inf for it)
+    if not np.isfinite(maxima[-1]):
+        raise ValueError(
+            f"Y is not finite at lambda = {params.lam:g}, epsilon = {params.epsilon:g}: "
+            "the second moments overflow in the scan window; lower eps_max or window_scaled"
+        )
+    return maxima
 
 
 def sweep(lam, omega=1.0, n_initial=5, eps_max=0.5, eps_points=26,

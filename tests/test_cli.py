@@ -54,6 +54,15 @@ _NON_POSITIVE = [
     ("oracle-check", "convergence_tol", "-1e-6"),
 ]
 
+# (subcommand, key, text) for every subcommand that takes a list: an empty list is refused
+_EMPTY_LISTS = [
+    ("fig1", "n_values", ","),
+    ("fig3", "pairs", ";"),
+    ("fig4", "pairs", " ; "),
+    ("fig5", "lambdas", ","),
+    ("fig6", "lambdas", ","),
+]
+
 
 class TestParsing:
     def test_pairs(self):
@@ -229,6 +238,16 @@ class TestCliEndToEnd:
         assert "use more segments" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["fig5", "--lambdas", "0.001"], ["sweep", "--lambda", "0.001"]],
+                             ids=lambda argv: argv[0])
+    def test_overflowing_scan_is_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code, _, err = run_cli([*argv, "--omega", "1", "--eps-max", "0.9", "--eps-points", "10",
+                                "--points", "201", "--out", str(out)], capsys)
+        assert code == 1
+        assert "Y is not finite at lambda = 0.001, epsilon = 0.6" in err
+        assert not out.exists()
+
     def test_cutoff_ceiling_is_exit_3(self, monkeypatch, capsys):
         from cavityent.fock import ConvergenceError
 
@@ -309,3 +328,15 @@ class TestCommandTable:
         code, err = run_cli_usage([name, "--config", str(cfg)], capsys)
         assert code == 1
         assert repr(key) in err
+
+    @pytest.mark.parametrize("name,key,text", _EMPTY_LISTS, ids=lambda v: v)
+    def test_empty_list_is_usage_error(self, name, key, text, tmp_path, capsys):
+        flag = "--" + key.replace("_", "-")
+        code, err = run_cli_usage([name, flag, text], capsys)
+        assert code == 1
+        assert f"{flag}: must list at least one value" in err
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        code, err = run_cli_usage([name, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert f"config key {key!r}: must list at least one value" in err
