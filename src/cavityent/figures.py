@@ -17,6 +17,10 @@ FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
 FIG5_LAMBDAS = (0.001, 0.005, 0.01, 0.05, 0.1)
 FIG6_LAMBDAS = (0.001, 0.05)
+# fig5 cuts no time piece shorter than this: 10001-point pieces (n_t = 20002
+# on 2 threads) beat the serial scan, while 8192-, 6668- and 2048-point
+# pieces lost more to per-call Python work and GIL hand-offs
+MIN_PIECE_POINTS = 10001
 
 
 def _tag(lam, eps):
@@ -92,12 +96,14 @@ def fig5(
     two scaled-time units, and meta carries the same scan at the
     sensitivity windows so the horizon dependence is visible.
 
-    The (lambda, epsilon) cells run on a thread pool with one thread per
-    CPU in the process's affinity mask (`taskset -c 0` gives a one-core
-    run).  Each cell is cut into as many time pieces as there are threads,
-    so the grid points in flight stay those of one cell.  A maximum is
-    exact in any order, so the output is byte-identical for any CPU count.
-    A cell whose moments overflow is refused with a ValueError naming it.
+    The (lambda, epsilon) cells run on a thread pool of one thread per
+    MIN_PIECE_POINTS grid points, at most one per CPU in the process's
+    affinity mask (`taskset -c 0` gives a one-core run).  Each cell is cut
+    into as many time pieces as there are threads, so the grid points in
+    flight stay those of one cell.  A maximum is exact in any order, so the
+    output is byte-identical for any CPU count.  A cell whose Y is not
+    finite in some window is refused with a ValueError naming the cell and
+    the shortest such window.
     """
     eps_grid = np.linspace(0.0, eps_max, eps_points)
     windows = sorted(set([window_scaled, *sensitivity_windows]))
@@ -106,7 +112,20 @@ def fig5(
     t_scaled = np.linspace(0.0, longest, n_t)
     cells = [validate(ModelParams(omega, lam, float(eps), n_initial))
              for lam in lambdas for eps in eps_grid]
-    maxima = _window_maxima(cells, t_scaled, windows, _usable_cpus())
+    workers = min(_usable_cpus(), max(1, n_t // MIN_PIECE_POINTS))
+    maxima = _window_maxima(cells, t_scaled, windows, workers)
+    bad = np.argwhere(~np.isfinite(maxima))
+    if len(bad):
+        # row-major: the first cell in (lambda, epsilon) order, then its
+        # shortest failing window (windows are sorted and nested)
+        params, w = cells[bad[0][0]], windows[bad[0][1]]
+        where, fix = (("scan window", " or window_scaled") if w == window_scaled
+                      else ("sensitivity window", ""))
+        raise ValueError(
+            f"Y is not finite at lambda = {params.lam:g}, epsilon = {params.epsilon:g} "
+            f"within the {where} (scaled time {w:g}): the second moments overflow; "
+            f"lower eps_max{fix}"
+        )
     columns = {"epsilon": eps_grid}
     sensitivity = {}
     for lam, scan in zip(lambdas, maxima.reshape(len(lambdas), eps_points, len(windows))):
@@ -137,8 +156,9 @@ def _window_maxima(cells, t_scaled, windows, workers):
     pieces of ceil(n_t / pieces) points, and every (cell, piece) is one task
     on a pool of `workers` threads, so at most `workers` pieces, about one
     cell's grid, are in flight.  numpy releases the GIL inside its loops.
-    The first failing cell in `cells` order raises; pending tasks are then
-    cancelled and every thread is joined before the error propagates.
+    A maximum is NaN or inf where Y overflows; the caller decides.  Should a
+    task raise, pending tasks are cancelled and every thread is joined
+    before the error propagates.
     """
     n_t = len(t_scaled)
     size = -(-n_t // min(workers, n_t))
@@ -153,18 +173,12 @@ def _window_maxima(cells, t_scaled, windows, workers):
 
 
 def _piece_maxima(params, t_piece, windows):
-    # numpy's error state is per thread: a worker starts from the defaults
+    # numpy's error state is per thread: a worker starts from the defaults.
+    # A piece past a shorter window reads -inf for it; the first piece starts
+    # at t = 0, so every window of a cell holds points.
     with np.errstate(over="ignore", invalid="ignore"):
         y = heisenberg.covariance_series(params, to_physical_time(t_piece, params))
-        maxima = [np.max(y, where=t_piece <= w, initial=-np.inf) for w in windows]
-    # windows are sorted and the last holds every point, so any non-finite Y
-    # shows there (a piece past a shorter window reads -inf for it)
-    if not np.isfinite(maxima[-1]):
-        raise ValueError(
-            f"Y is not finite at lambda = {params.lam:g}, epsilon = {params.epsilon:g}: "
-            "the second moments overflow in the scan window; lower eps_max or window_scaled"
-        )
-    return maxima
+        return [np.max(y, where=t_piece <= w, initial=-np.inf) for w in windows]
 
 
 def sweep(lam, omega=1.0, n_initial=5, eps_max=0.5, eps_points=26,

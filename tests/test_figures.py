@@ -49,26 +49,58 @@ class TestScanPool:
             assert row.tolist() == _serial_maxima(params, t_scaled, [1.0, 2.0])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_first_failing_cell_is_reported_and_threads_are_joined(self, workers):
-        # at omega = 1 every epsilon from 0.6 up overflows within five scaled units;
-        # the later cells fail too, and some of them first in time
-        cells = [ModelParams(1.0, lam, eps, 5)
-                 for lam in (0.001, 0.01) for eps in (0.3, 0.6, 0.7, 0.9)]
+    def test_first_failing_cell_is_reported_and_threads_are_joined(self, workers, monkeypatch):
+        # at omega = 1 every epsilon from 0.6 up overflows within one scaled unit
+        # at these lambdas; the later cells fail too, and some of them first in time
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(figures, "MIN_PIECE_POINTS", 1)
         before = threading.active_count()
         messages = set()
         for _ in range(3):
             with pytest.raises(ValueError) as exc:
-                figures._window_maxima(cells, T_SCALED, WINDOWS, workers)
+                figures.fig5(lambdas=(0.001, 0.01), omega=1.0, eps_max=0.9, eps_points=10,
+                             points=403)
             messages.add(str(exc.value))
         assert messages == {
-            "Y is not finite at lambda = 0.001, epsilon = 0.6: the second moments "
-            "overflow in the scan window; lower eps_max or window_scaled"
+            "Y is not finite at lambda = 0.001, epsilon = 0.6 within the sensitivity window "
+            "(scaled time 1): the second moments overflow; lower eps_max"
         }
         assert threading.active_count() == before
 
-    def test_fig5_refuses_an_overflowing_scan(self):
-        with pytest.raises(ValueError, match="lambda = 0.001, epsilon = 0.6"):
-            figures.fig5(lambdas=(0.001,), omega=1.0, eps_max=0.9, eps_points=10, points=201)
+    def test_overflow_in_the_scan_window_names_window_scaled(self):
+        # lambda = 0.01, epsilon = 0.52 first overflows near scaled time 1.98
+        with pytest.raises(ValueError) as exc:
+            figures.fig5(lambdas=(0.01,), omega=1.0, eps_max=0.52, eps_points=2, points=201)
+        assert str(exc.value) == (
+            "Y is not finite at lambda = 0.01, epsilon = 0.52 within the scan window "
+            "(scaled time 2): the second moments overflow; lower eps_max or window_scaled"
+        )
+
+    def test_overflow_only_past_the_scan_window_names_the_sensitivity_window(self):
+        # lambda = 0.1 first overflows near scaled time 4.5 at epsilon = 0.8 and
+        # 3.8 at 0.9: the window_scaled = 2 column is finite, the window 5 one not
+        scan = dict(lambdas=(0.1,), omega=1.0, eps_max=0.9, eps_points=10, points=201)
+        with pytest.raises(ValueError) as exc:
+            figures.fig5(**scan)
+        assert str(exc.value) == (
+            "Y is not finite at lambda = 0.1, epsilon = 0.8 within the sensitivity window "
+            "(scaled time 5): the second moments overflow; lower eps_max"
+        )
+        columns, _ = figures.fig5(**scan, sensitivity_windows=(1.0,))
+        assert np.isfinite(columns["max_Y_lam0.1"]).all()
+
+    def test_pool_size_is_capped_by_piece_length(self, monkeypatch):
+        seen = []
+
+        def record(cells, t_scaled, windows, workers):
+            seen.append((len(t_scaled), workers))
+            return np.zeros((len(cells), len(windows)))
+
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(figures, "_window_maxima", record)
+        figures.fig5(lambdas=(0.1,), eps_points=2)  # 20002 points: two 10001-point pieces
+        figures.sweep(0.1, eps_points=2)             # 8001 points: one piece
+        assert seen == [(20002, 2), (8001, 1)]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
