@@ -5,6 +5,7 @@ to 1-D array, plus the settings the table was produced from.  Column
 layouts are part of the CLI contract and must stay stable.
 """
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,6 +22,11 @@ FIG6_LAMBDAS = (0.001, 0.05)
 # on 2 threads) beat the serial scan, while 8192-, 6668- and 2048-point
 # pieces lost more to per-call Python work and GIL hand-offs
 MIN_PIECE_POINTS = 10001
+# glibc mallopt parameters and the values fig5 pins: the mmap threshold at
+# the 32 MiB ceiling of glibc's own dynamic rule, and no trimming of a free
+# heap top below 256 MiB
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES, _MMAP_THRESHOLD_BYTES = 256 << 20, 32 << 20
 
 
 def _tag(lam, eps):
@@ -160,6 +166,7 @@ def _window_maxima(cells, t_scaled, windows, workers):
     task raise, pending tasks are cancelled and every thread is joined
     before the error propagates.
     """
+    _keep_freed_heap()
     n_t = len(t_scaled)
     size = -(-n_t // min(workers, n_t))
     pieces = [t_scaled[k:k + size] for k in range(0, n_t, size)]
@@ -170,6 +177,25 @@ def _window_maxima(cells, t_scaled, windows, workers):
         return np.array([np.max([f.result() for f in row], axis=0) for row in futures])
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _keep_freed_heap():
+    """Let glibc's malloc keep the memory freed between pieces for the process's life.
+
+    Every piece allocates and frees a few MB of temporaries.  By default
+    glibc returns a free heap top past its trim threshold to the kernel
+    and faults it back in on the next piece: about 95000 page faults per
+    configs/fig5.cfg scan.  With the pool's threads each return also
+    flushes the other CPU's TLB, so the scan's run time varied widely from
+    run to run.  Peak memory stays that of the scan; without glibc nothing
+    changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # not glibc
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _piece_maxima(params, t_piece, windows):

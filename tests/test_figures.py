@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -101,6 +102,18 @@ class TestScanPool:
         figures.fig5(lambdas=(0.1,), eps_points=2)  # 20002 points: two 10001-point pieces
         figures.sweep(0.1, eps_points=2)             # 8001 points: one piece
         assert seen == [(20002, 2), (8001, 1)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_a_repeated_scan_faults_in_no_fresh_memory(self):
+        import resource  # glibc implies a Unix
+
+        # glibc used to hand each cell's freed temporaries back to the kernel
+        # and fault them in again: over 1000 page faults per 20002-point cell
+        scan = dict(lambdas=(0.001, 0.1), omega=2.0, eps_points=4)
+        figures.fig5(**scan)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        figures.fig5(**scan)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
