@@ -18,10 +18,6 @@ FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
 FIG5_LAMBDAS = (0.001, 0.005, 0.01, 0.05, 0.1)
 FIG6_LAMBDAS = (0.001, 0.05)
-# fig5 cuts no time piece shorter than this: 10001-point pieces (n_t = 20002
-# on 2 threads) beat the serial scan, while 8192-, 6668- and 2048-point
-# pieces lost more to per-call Python work and GIL hand-offs
-MIN_PIECE_POINTS = 10001
 # glibc mallopt parameters and the values fig5 pins: the mmap threshold at
 # the 32 MiB ceiling of glibc's own dynamic rule, and no trimming of a free
 # heap top below 256 MiB
@@ -33,15 +29,33 @@ def _tag(lam, eps):
     return f"lam{lam:g}_eps{eps:g}"
 
 
+def _labels(setting, values, label):
+    """label(value) for each value of a list setting, in order.
+
+    The labels name output columns, so two values with one label would
+    leave a single column; a ValueError names them instead.
+    """
+    seen = {}
+    for value in values:
+        text = label(value)
+        if text in seen:
+            raise ValueError(
+                f"{setting} {seen[text]} and {value} give the same column label {text!r}; "
+                "each value needs a label of its own"
+            )
+        seen[text] = value
+    return list(seen)
+
+
 def fig1(omega=1.0, lam=0.1, t_max_scaled=1.0, points=1001, n_values=(1, 5, 10, 50)):
     """Pump-free Y(t) for several initial photon numbers."""
     t_scaled = np.linspace(0.0, t_max_scaled, points)
     params = validate(ModelParams(omega, lam, 0.0, 0))
     t = to_physical_time(t_scaled, params)
     columns = {"t_scaled": t_scaled}
-    for n in n_values:
+    for n, label in zip(n_values, _labels("n_values", n_values, lambda n: f"N{n}")):
         validate(ModelParams(omega, lam, 0.0, n))
-        columns[f"Y_N{n}"] = binomial.covariance_measure_closed(n, lam, t)
+        columns[f"Y_{label}"] = binomial.covariance_measure_closed(n, lam, t)
     meta = {"omega": omega, "lambda": lam, "t_max_scaled": t_max_scaled,
             "points": points, "n_values": list(n_values)}
     return columns, meta
@@ -64,10 +78,10 @@ def fig3(pairs=FIG3_PAIRS, omega=1.0, n_initial=5, t_max_scaled=1.0, points=2001
     """Pumped Y(t) via moment transport, one column per (lambda, epsilon)."""
     t_scaled = np.linspace(0.0, t_max_scaled, points)
     columns = {"scaled_time": t_scaled}
-    for lam, eps in pairs:
+    for (lam, eps), label in zip(pairs, _labels("pairs", pairs, lambda pair: _tag(*pair))):
         params = validate(ModelParams(omega, lam, eps, n_initial))
         t = to_physical_time(t_scaled, params)
-        columns[f"Y_{_tag(lam, eps)}"] = heisenberg.covariance_series(params, t)
+        columns[f"Y_{label}"] = heisenberg.covariance_series(params, t)
     meta = {"omega": omega, "n_initial": n_initial, "pairs": [list(p) for p in pairs],
             "t_max_scaled": t_max_scaled, "points": points}
     return columns, meta
@@ -77,10 +91,10 @@ def fig4(pairs=FIG4_PAIRS, omega=1.0, n_initial=5, t_max_scaled=1.0, points=2001
     """Photon-number difference ratio |n_a - n_b| / (n_a + n_b) over time."""
     t_scaled = np.linspace(0.0, t_max_scaled, points)
     columns = {"scaled_time": t_scaled}
-    for lam, eps in pairs:
+    for (lam, eps), label in zip(pairs, _labels("pairs", pairs, lambda pair: _tag(*pair))):
         params = validate(ModelParams(omega, lam, eps, n_initial))
         t = to_physical_time(t_scaled, params)
-        columns[f"ratio_{_tag(lam, eps)}"] = heisenberg.photon_ratio_series(params, t)
+        columns[f"ratio_{label}"] = heisenberg.photon_ratio_series(params, t)
     meta = {"omega": omega, "n_initial": n_initial, "pairs": [list(p) for p in pairs],
             "t_max_scaled": t_max_scaled, "points": points}
     return columns, meta
@@ -102,15 +116,14 @@ def fig5(
     two scaled-time units, and meta carries the same scan at the
     sensitivity windows so the horizon dependence is visible.
 
-    The (lambda, epsilon) cells run on a thread pool of one thread per
-    MIN_PIECE_POINTS grid points, at most one per CPU in the process's
-    affinity mask (`taskset -c 0` gives a one-core run).  Each cell is cut
-    into as many time pieces as there are threads, so the grid points in
-    flight stay those of one cell.  A maximum is exact in any order, so the
-    output is byte-identical for any CPU count.  A cell whose Y is not
-    finite in some window is refused with a ValueError naming the cell and
-    the shortest such window.
+    The (lambda, epsilon) cells run on a thread pool of one thread per CPU
+    in the process's affinity mask (`taskset -c 0` gives a one-core run),
+    at most one per cell, each thread one whole cell at a time.  Every cell
+    is computed alone, so the output is byte-identical for any CPU count.
+    A cell whose Y is not finite in some window is refused with a
+    ValueError naming the cell and the shortest such window.
     """
+    labels = _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")
     eps_grid = np.linspace(0.0, eps_max, eps_points)
     windows = sorted(set([window_scaled, *sensitivity_windows]))
     longest = max(windows)
@@ -118,8 +131,7 @@ def fig5(
     t_scaled = np.linspace(0.0, longest, n_t)
     cells = [validate(ModelParams(omega, lam, float(eps), n_initial))
              for lam in lambdas for eps in eps_grid]
-    workers = min(_usable_cpus(), max(1, n_t // MIN_PIECE_POINTS))
-    maxima = _window_maxima(cells, t_scaled, windows, workers)
+    maxima = _window_maxima(cells, t_scaled, windows, min(_usable_cpus(), len(cells)))
     bad = np.argwhere(~np.isfinite(maxima))
     if len(bad):
         # row-major: the first cell in (lambda, epsilon) order, then its
@@ -134,10 +146,10 @@ def fig5(
         )
     columns = {"epsilon": eps_grid}
     sensitivity = {}
-    for lam, scan in zip(lambdas, maxima.reshape(len(lambdas), eps_points, len(windows))):
+    for label, scan in zip(labels, maxima.reshape(len(lambdas), eps_points, len(windows))):
         per_window = dict(zip(windows, scan.T))
-        columns[f"max_Y_lam{lam:g}"] = per_window[window_scaled]
-        sensitivity[f"lam{lam:g}"] = {
+        columns[f"max_Y_{label}"] = per_window[window_scaled]
+        sensitivity[label] = {
             f"window{w:g}": per_window[w].tolist() for w in windows if w != window_scaled
         }
     meta = {"omega": omega, "n_initial": n_initial, "lambdas": list(lambdas),
@@ -158,33 +170,28 @@ def _usable_cpus():
 def _window_maxima(cells, t_scaled, windows, workers):
     """Max Y over t_scaled <= w for each cell and window; shape (len(cells), len(windows)).
 
-    Each cell's grid is cut into min(workers, len(t_scaled)) contiguous
-    pieces of ceil(n_t / pieces) points, and every (cell, piece) is one task
-    on a pool of `workers` threads, so at most `workers` pieces, about one
-    cell's grid, are in flight.  numpy releases the GIL inside its loops.
-    A maximum is NaN or inf where Y overflows; the caller decides.  Should a
-    task raise, pending tasks are cancelled and every thread is joined
-    before the error propagates.
+    t_scaled is ascending and starts at 0.  Every cell is one task on a
+    pool of `workers` threads, so `workers` cells are in flight; numpy
+    releases the GIL inside its loops.  A maximum is NaN or inf where Y
+    overflows; the caller decides.  Should a task raise, pending tasks are
+    cancelled and every thread is joined before the error propagates.
     """
     _keep_freed_heap()
-    n_t = len(t_scaled)
-    size = -(-n_t // min(workers, n_t))
-    pieces = [t_scaled[k:k + size] for k in range(0, n_t, size)]
+    ends = np.searchsorted(t_scaled, windows, side="right")
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        futures = [[pool.submit(_piece_maxima, params, piece, windows) for piece in pieces]
-                   for params in cells]
-        return np.array([np.max([f.result() for f in row], axis=0) for row in futures])
+        futures = [pool.submit(_cell_maxima, params, t_scaled, ends) for params in cells]
+        return np.array([f.result() for f in futures])
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 def _keep_freed_heap():
-    """Let glibc's malloc keep the memory freed between pieces for the process's life.
+    """Let glibc's malloc keep the memory freed between cells for the process's life.
 
-    Every piece allocates and frees a few MB of temporaries.  By default
+    Every cell allocates and frees a few MB of temporaries.  By default
     glibc returns a free heap top past its trim threshold to the kernel
-    and faults it back in on the next piece: about 95000 page faults per
+    and faults it back in on the next cell: about 95000 page faults per
     configs/fig5.cfg scan.  With the pool's threads each return also
     flushes the other CPU's TLB, so the scan's run time varied widely from
     run to run.  Peak memory stays that of the scan; without glibc nothing
@@ -198,13 +205,11 @@ def _keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _piece_maxima(params, t_piece, windows):
-    # numpy's error state is per thread: a worker starts from the defaults.
-    # A piece past a shorter window reads -inf for it; the first piece starts
-    # at t = 0, so every window of a cell holds points.
+def _cell_maxima(params, t_scaled, ends):
+    # numpy's error state is per thread: a worker starts from the defaults
     with np.errstate(over="ignore", invalid="ignore"):
-        y = heisenberg.covariance_series(params, to_physical_time(t_piece, params))
-        return [np.max(y, where=t_piece <= w, initial=-np.inf) for w in windows]
+        y = heisenberg.covariance_series(params, to_physical_time(t_scaled, params))
+        return [y[:end].max() for end in ends]
 
 
 def sweep(lam, omega=1.0, n_initial=5, eps_max=0.5, eps_points=26,
@@ -236,7 +241,7 @@ def fig6(
             "n_trials": n_trials, "n_segments": n_segments,
             "total_scaled_time": total_scaled_time, "master_seed": master_seed,
             "spread": spread, "spread_statistics": {}}
-    for lam in lambdas:
+    for lam, tag in zip(lambdas, _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")):
         params = validate(ModelParams(omega, lam, mean_epsilon, n_initial))
         ens = fluctuations.run_ensemble(
             params, mean_epsilon, n_trials=n_trials, master_seed=master_seed,
@@ -244,7 +249,6 @@ def fig6(
         )
         if columns is None:
             columns = {"scaled_time": ens.t_scaled}
-        tag = f"lam{lam:g}"
         for k in range(n_trials):
             columns[f"Y_{tag}_trial{k + 1}"] = ens.trials[k]
         columns[f"Y_{tag}_mean"] = ens.mean

@@ -63,6 +63,17 @@ _EMPTY_LISTS = [
     ("fig6", "lambdas", ","),
 ]
 
+# (subcommand, key, text, the two values named, their shared label): each
+# would have written one column for two values
+_CLASHING_LISTS = [
+    ("fig1", "n_values", "1,5,1", "1 and 1", "N1"),
+    ("fig3", "pairs", "0.1,0.1;0.1,0.1", "(0.1, 0.1) and (0.1, 0.1)", "lam0.1_eps0.1"),
+    ("fig4", "pairs", "0.1,0.1;0.1,0.1000001", "(0.1, 0.1) and (0.1, 0.1000001)",
+     "lam0.1_eps0.1"),
+    ("fig5", "lambdas", "0.1,0.1000001", "0.1 and 0.1000001", "lam0.1"),
+    ("fig6", "lambdas", "0.05,0.05", "0.05 and 0.05", "lam0.05"),
+]
+
 
 class TestParsing:
     def test_pairs(self):
@@ -246,6 +257,17 @@ class TestCliEndToEnd:
                                 "--points", "201", "--out", str(out)], capsys)
         assert code == 1
         assert "Y is not finite at lambda = 0.001, epsilon = 0.6" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, key, text, values, label", _CLASHING_LISTS,
+                             ids=[row[0] for row in _CLASHING_LISTS])
+    def test_values_sharing_a_column_label_are_refused(self, name, key, text, values, label,
+                                                       tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        code, _, err = run_cli([name, "--" + key.replace("_", "-"), text, "--out", str(out)],
+                               capsys)
+        assert code == 1
+        assert f"error: {key} {values} give the same column label {label!r}" in err
         assert not out.exists()
 
     def test_cutoff_ceiling_is_exit_3(self, monkeypatch, capsys):

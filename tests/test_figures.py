@@ -16,7 +16,6 @@ SRC = str(Path(cavityent.__file__).resolve().parent.parent)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 WINDOWS = [1.0, 2.0, 5.0]
-# 1001 = 7 * 11 * 13: no piece count from 2 to 6 divides it
 T_SCALED = np.linspace(0.0, 5.0, 1001)
 CELLS = [
     ModelParams(2.0, 0.001, 0.3, 5),
@@ -36,7 +35,7 @@ class TestScanPool:
         with pytest.raises(heisenberg.DegenerateSpectrumError):
             heisenberg.ch_coefficients(heisenberg.spectral(CELLS[-1]), 1.0)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6])
     def test_pieced_maxima_equal_whole_grid_maxima(self, workers):
         got = figures._window_maxima(CELLS, T_SCALED, WINDOWS, workers)
         assert got.shape == (len(CELLS), len(WINDOWS))
@@ -54,7 +53,6 @@ class TestScanPool:
         # at omega = 1 every epsilon from 0.6 up overflows within one scaled unit
         # at these lambdas; the later cells fail too, and some of them first in time
         monkeypatch.setattr(figures, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(figures, "MIN_PIECE_POINTS", 1)
         before = threading.active_count()
         messages = set()
         for _ in range(3):
@@ -90,18 +88,24 @@ class TestScanPool:
         columns, _ = figures.fig5(**scan, sensitivity_windows=(1.0,))
         assert np.isfinite(columns["max_Y_lam0.1"]).all()
 
-    def test_pool_size_is_capped_by_piece_length(self, monkeypatch):
+    @pytest.mark.parametrize("cpus, lambdas, eps_points, threads", [
+        (64, (0.1,), 2, 2),
+        (3, (0.1, 0.01), 4, 3),
+        (1, (0.1, 0.01), 4, 1),
+    ], ids=["capped-by-cells", "capped-by-cpus", "one-cpu"])
+    def test_pool_has_one_thread_per_cpu_up_to_the_cell_count(
+            self, cpus, lambdas, eps_points, threads, monkeypatch):
         seen = []
 
-        def record(cells, t_scaled, windows, workers):
-            seen.append((len(t_scaled), workers))
-            return np.zeros((len(cells), len(windows)))
+        class Recording(figures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(figures, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(figures, "_window_maxima", record)
-        figures.fig5(lambdas=(0.1,), eps_points=2)  # 20002 points: two 10001-point pieces
-        figures.sweep(0.1, eps_points=2)             # 8001 points: one piece
-        assert seen == [(20002, 2), (8001, 1)]
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(figures, "ThreadPoolExecutor", Recording)
+        figures.fig5(lambdas=lambdas, eps_points=eps_points, points=101)
+        assert seen == [threads]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_a_repeated_scan_faults_in_no_fresh_memory(self):
