@@ -18,7 +18,7 @@ FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
 FIG5_LAMBDAS = (0.001, 0.005, 0.01, 0.05, 0.1)
 FIG6_LAMBDAS = (0.001, 0.05)
-# glibc mallopt parameters and the values fig5 pins: the mmap threshold at
+# glibc mallopt parameters and the values _scan pins: the mmap threshold at
 # the 32 MiB ceiling of glibc's own dynamic rule, and no trimming of a free
 # heap top below 256 MiB
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -76,25 +76,24 @@ def fig2(omega=1.0, lam=0.1, n_initial=5, t_max_scaled=1.0, points=1001):
 
 def fig3(pairs=FIG3_PAIRS, omega=1.0, n_initial=5, t_max_scaled=1.0, points=2001):
     """Pumped Y(t) via moment transport, one column per (lambda, epsilon)."""
-    t_scaled = np.linspace(0.0, t_max_scaled, points)
-    columns = {"scaled_time": t_scaled}
-    for (lam, eps), label in zip(pairs, _labels("pairs", pairs, lambda pair: _tag(*pair))):
-        params = validate(ModelParams(omega, lam, eps, n_initial))
-        t = to_physical_time(t_scaled, params)
-        columns[f"Y_{label}"] = heisenberg.covariance_series(params, t)
-    meta = {"omega": omega, "n_initial": n_initial, "pairs": [list(p) for p in pairs],
-            "t_max_scaled": t_max_scaled, "points": points}
-    return columns, meta
+    return _pair_table(heisenberg.covariance_series, "Y", pairs, omega, n_initial,
+                       t_max_scaled, points)
 
 
 def fig4(pairs=FIG4_PAIRS, omega=1.0, n_initial=5, t_max_scaled=1.0, points=2001):
     """Photon-number difference ratio |n_a - n_b| / (n_a + n_b) over time."""
+    return _pair_table(heisenberg.photon_ratio_series, "ratio", pairs, omega, n_initial,
+                       t_max_scaled, points)
+
+
+def _pair_table(series, prefix, pairs, omega, n_initial, t_max_scaled, points):
+    """A scaled_time column, then series on that grid as one column per (lambda, epsilon)."""
+    labels = _labels("pairs", pairs, lambda pair: _tag(*pair))
     t_scaled = np.linspace(0.0, t_max_scaled, points)
+    cells = [validate(ModelParams(omega, lam, eps, n_initial)) for lam, eps in pairs]
     columns = {"scaled_time": t_scaled}
-    for (lam, eps), label in zip(pairs, _labels("pairs", pairs, lambda pair: _tag(*pair))):
-        params = validate(ModelParams(omega, lam, eps, n_initial))
-        t = to_physical_time(t_scaled, params)
-        columns[f"ratio_{label}"] = heisenberg.photon_ratio_series(params, t)
+    for label, values in zip(labels, _scan(series, cells, t_scaled)):
+        columns[f"{prefix}_{label}"] = values
     meta = {"omega": omega, "n_initial": n_initial, "pairs": [list(p) for p in pairs],
             "t_max_scaled": t_max_scaled, "points": points}
     return columns, meta
@@ -116,12 +115,11 @@ def fig5(
     two scaled-time units, and meta carries the same scan at the
     sensitivity windows so the horizon dependence is visible.
 
-    The (lambda, epsilon) cells run on a thread pool of one thread per CPU
-    in the process's affinity mask (`taskset -c 0` gives a one-core run),
-    at most one per cell, each thread one whole cell at a time.  Every cell
-    is computed alone, so the output is byte-identical for any CPU count.
-    A cell whose Y is not finite in some window is refused with a
-    ValueError naming the cell and the shortest such window.
+    The (lambda, epsilon) cells run on `_scan`'s thread pool, one thread
+    per CPU in the process's affinity mask (`taskset -c 0` gives a one-core
+    run), each thread one whole cell at a time.  Every cell is computed
+    alone, so the output is byte-identical for any CPU count.  A cell whose
+    Y is not finite is refused by `heisenberg.covariance_series`.
     """
     labels = _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")
     eps_grid = np.linspace(0.0, eps_max, eps_points)
@@ -129,21 +127,15 @@ def fig5(
     longest = max(windows)
     n_t = max(points, int(points * longest / window_scaled))
     t_scaled = np.linspace(0.0, longest, n_t)
+    ends = np.searchsorted(t_scaled, windows, side="right")
     cells = [validate(ModelParams(omega, lam, float(eps), n_initial))
              for lam in lambdas for eps in eps_grid]
-    maxima = _window_maxima(cells, t_scaled, windows, min(_usable_cpus(), len(cells)))
-    bad = np.argwhere(~np.isfinite(maxima))
-    if len(bad):
-        # row-major: the first cell in (lambda, epsilon) order, then its
-        # shortest failing window (windows are sorted and nested)
-        params, w = cells[bad[0][0]], windows[bad[0][1]]
-        where, fix = (("scan window", " or window_scaled") if w == window_scaled
-                      else ("sensitivity window", ""))
-        raise ValueError(
-            f"Y is not finite at lambda = {params.lam:g}, epsilon = {params.epsilon:g} "
-            f"within the {where} (scaled time {w:g}): the second moments overflow; "
-            f"lower eps_max{fix}"
-        )
+
+    def window_maxima(params, t):
+        y = heisenberg.covariance_series(params, t)
+        return [y[:end].max() for end in ends]
+
+    maxima = np.array(_scan(window_maxima, cells, t_scaled))
     columns = {"epsilon": eps_grid}
     sensitivity = {}
     for label, scan in zip(labels, maxima.reshape(len(lambdas), eps_points, len(windows))):
@@ -167,35 +159,33 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _window_maxima(cells, t_scaled, windows, workers):
-    """Max Y over t_scaled <= w for each cell and window; shape (len(cells), len(windows)).
+def _scan(series, cells, t_scaled):
+    """series(params, t) for each cell, t the physical times of t_scaled; a list in cell order.
 
-    t_scaled is ascending and starts at 0.  Every cell is one task on a
-    pool of `workers` threads, so `workers` cells are in flight; numpy
-    releases the GIL inside its loops.  A maximum is NaN or inf where Y
-    overflows; the caller decides.  Should a task raise, pending tasks are
-    cancelled and every thread is joined before the error propagates.
+    Every cell is one task on a pool of one thread per usable CPU, at most one
+    per cell; numpy releases the GIL inside its loops.  Each task builds its
+    own time grid, so only the grids in flight are held.  Results are read in
+    cell order, so the first failing cell's error propagates, after `map` has
+    cancelled the pending tasks and the pool has joined every thread.
     """
     _keep_freed_heap()
-    ends = np.searchsorted(t_scaled, windows, side="right")
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures = [pool.submit(_cell_maxima, params, t_scaled, ends) for params in cells]
-        return np.array([f.result() for f in futures])
-    finally:
-        pool.shutdown(cancel_futures=True)
+
+    def task(params):
+        return series(params, to_physical_time(t_scaled, params))
+
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(cells))) as pool:
+        return list(pool.map(task, cells))
 
 
 def _keep_freed_heap():
     """Let glibc's malloc keep the memory freed between cells for the process's life.
 
-    Every cell allocates and frees a few MB of temporaries.  By default
-    glibc returns a free heap top past its trim threshold to the kernel
-    and faults it back in on the next cell: about 95000 page faults per
-    configs/fig5.cfg scan.  With the pool's threads each return also
-    flushes the other CPU's TLB, so the scan's run time varied widely from
-    run to run.  Peak memory stays that of the scan; without glibc nothing
-    changes.
+    Every cell allocates and frees a few MB of temporaries.  By default glibc
+    returns a free heap top past its trim threshold to the kernel and faults
+    it back in on the next cell: about 95000 page faults per configs/fig5.cfg
+    scan, and with the pool's threads each return also flushes the other
+    CPU's TLB, so the scan's run time varied widely from run to run.  Peak
+    memory stays that of the scan; without glibc nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -203,13 +193,6 @@ def _keep_freed_heap():
         return
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-
-
-def _cell_maxima(params, t_scaled, ends):
-    # numpy's error state is per thread: a worker starts from the defaults
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = heisenberg.covariance_series(params, to_physical_time(t_scaled, params))
-        return [y[:end].max() for end in ends]
 
 
 def sweep(lam, omega=1.0, n_initial=5, eps_max=0.5, eps_points=26,

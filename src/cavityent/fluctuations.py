@@ -41,9 +41,9 @@ RESCALE_THRESHOLD = 1e100
 
 @dataclass(frozen=True)
 class FluctuationSchedule:
-    n_segments: int
     total_scaled_time: float
     values: np.ndarray    # (n_segments,), or (n_trials, n_segments) for a batch
+    n_segments = property(lambda self: self.values.shape[-1])
 
     def segment_duration(self, params):
         return to_physical_time(self.total_scaled_time, params) / self.n_segments
@@ -74,7 +74,7 @@ def sample_schedule(mean, n_segments=100, total_scaled_time=5.0, seed=0, spread=
         raise ValueError(f"unknown spread mode {spread!r}")
     rng = np.random.default_rng(seed)
     values = rng.normal(loc=mean, scale=sigma, size=int(n_segments))
-    return FluctuationSchedule(int(n_segments), float(total_scaled_time), values)
+    return FluctuationSchedule(float(total_scaled_time), values)
 
 
 def propagate_piecewise(params, schedule):
@@ -135,7 +135,7 @@ def run_ensemble(
     seeds = [trial_seed(master_seed, k) for k in range(n_trials)]
     values = np.stack([sample_schedule(mean_epsilon, n_segments, total_scaled_time, seed,
                                        spread).values for seed in seeds])
-    batch = FluctuationSchedule(int(n_segments), float(total_scaled_time), values)
+    batch = FluctuationSchedule(float(total_scaled_time), values)
     t_scaled, trials = propagate_piecewise(params, batch)
     mean = trials.mean(axis=0)
     std = trials.std(axis=0)

@@ -17,7 +17,8 @@ entries of S these touch a row at a time, in the order 0, 2, 3, 1: row 0
 first, as three moments read it; row 2 gives <a^dag a>, and the parts of
 row 0 only it reads are dropped with it; row 3 gives <ab^dag>; the
 Cayley-Hamilton coefficients are freed once row 1 is built, and row 1
-gives <ab> and <b^dag b>.  The published structure-function formulas for the
+gives <ab> and <b^dag b>.  A series that overflows past the parametric
+instability is refused.  The published structure-function formulas for the
 same moments are audited in `audit`, not trusted.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .params import covariance_measure
+from .params import covariance_measure, to_scaled_time
 
 DEGENERACY_TOL = 1e-10
 
@@ -244,14 +245,29 @@ def moments_of(g):
 
 
 def covariance_series(params, t):
-    """Y via moment transport at a scalar or array t."""
-    return covariance_measure(*transported_moment_arrays(params, t))
+    """Y via moment transport at a scalar or array t; refused where not finite (_finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = transported_moment_arrays(params, t)
+        return _finite("Y", covariance_measure(*moments), moments, params, t)
 
 
 def photon_ratio_series(params, t):
-    """|n_a - n_b| / (n_a + n_b) at a scalar or array t."""
-    _, _, na, nb = transported_moment_arrays(params, t)
-    total = na + nb
-    if np.any(total <= 0):
-        raise ValueError("photon difference ratio undefined at zero total photons")
-    return np.abs(na - nb) / total
+    """|n_a - n_b| / (n_a + n_b) at a scalar or array t; refused where not finite (_finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, na, nb = transported_moment_arrays(params, t)
+        total = na + nb
+        if np.any(total <= 0):
+            raise ValueError("photon difference ratio undefined at zero total photons")
+        return _finite("the photon ratio", np.abs(na - nb) / total, (total,), params, t)
+
+
+def _finite(name, result, parts, params, t):
+    """result, or a ValueError naming the first point where it or one of parts is not finite."""
+    bad = ~np.logical_and.reduce([np.isfinite(q) for q in (result, *parts)])
+    if not bad.any():
+        return result
+    k = np.argmax(bad)
+    eps, t_first = (np.broadcast_to(v, bad.shape).flat[k] for v in (params.epsilon, t))
+    raise ValueError(f"{name} is not finite at lambda = {params.lam:g}, epsilon = {eps:g}, "
+                     f"first at scaled time {to_scaled_time(t_first, params):g}: the second "
+                     "moments overflow; lower epsilon or end the time grid earlier")

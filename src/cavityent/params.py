@@ -60,13 +60,13 @@ def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):
         Y = sqrt( (|cov(a,b^dag)|^2 + |cov(a,b)|^2) / (2 (nbar_a + h)(nbar_b + h)) )
 
     with h = vacuum_half, the +1/2 vacuum term (smaller when the moments are
-    carried divided by a scale factor).  Where the denominator is not
-    positive, Y is 0.  Every route computes Y through this one function.
+    carried divided by a scale factor).  Y is 0 where the denominator is not
+    positive, NaN where it is NaN.  Every route computes Y through this one function.
     """
     # asarray: scalars take the array arithmetic, so both agree bit for bit
     num = np.abs(np.asarray(cov_ab_dagger)) ** 2 + np.abs(np.asarray(cov_ab)) ** 2
     den = 2.0 * (np.asarray(nbar_a) + vacuum_half) * (np.asarray(nbar_b) + vacuum_half)
-    ratio = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
+    ratio = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=~(den <= 0))
     return np.sqrt(ratio)
 
 

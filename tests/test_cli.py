@@ -63,6 +63,10 @@ _EMPTY_LISTS = [
     ("fig6", "lambdas", ","),
 ]
 
+# settings whose second moments overflow past the parametric instability
+_OVERFLOWING_SCAN = ["--omega", "1", "--eps-max", "0.9", "--eps-points", "10", "--points", "201"]
+_OVERFLOWING_PAIR = ["--omega", "1", "--pairs", "0.01,0.9", "--points", "201"]
+
 # (subcommand, key, text, the two values named, their shared label): each
 # would have written one column for two values
 _CLASHING_LISTS = [
@@ -249,14 +253,22 @@ class TestCliEndToEnd:
         assert "use more segments" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["fig5", "--lambdas", "0.001"], ["sweep", "--lambda", "0.001"]],
-                             ids=lambda argv: argv[0])
-    def test_overflowing_scan_is_refused(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["fig5", "--lambdas", "0.001", *_OVERFLOWING_SCAN],
+         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.0898204"),
+        (["sweep", "--lambda", "0.001", *_OVERFLOWING_SCAN],
+         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.09:"),
+        (["fig3", *_OVERFLOWING_PAIR],
+         "Y is not finite at lambda = 0.01, epsilon = 0.9, first at scaled time 0.385:"),
+        (["fig4", *_OVERFLOWING_PAIR],
+         "the photon ratio is not finite at lambda = 0.01, epsilon = 0.9, first at "
+         "scaled time 0.755:"),
+    ], ids=["fig5", "sweep", "fig3", "fig4"])
+    def test_overflowing_scan_is_refused(self, argv, message, tmp_path, capsys):
         out = tmp_path / "scan.csv"
-        code, _, err = run_cli([*argv, "--omega", "1", "--eps-max", "0.9", "--eps-points", "10",
-                                "--points", "201", "--out", str(out)], capsys)
+        code, _, err = run_cli([*argv, "--out", str(out)], capsys)
         assert code == 1
-        assert "Y is not finite at lambda = 0.001, epsilon = 0.6" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("name, key, text, values, label", _CLASHING_LISTS,

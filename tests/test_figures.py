@@ -30,61 +30,70 @@ def _serial_maxima(params, t_scaled, windows):
     return [y[t_scaled <= w].max() for w in windows]
 
 
+def _window_maxima(t_scaled, windows):
+    """The per-cell function fig5 hands to _scan: Y reduced to its window maxima."""
+    ends = np.searchsorted(t_scaled, windows, side="right")
+
+    def series(params, t):
+        y = heisenberg.covariance_series(params, t)
+        return [y[:end].max() for end in ends]
+
+    return series
+
+
 class TestScanPool:
     def test_last_cell_takes_the_dense_fallback(self):
         with pytest.raises(heisenberg.DegenerateSpectrumError):
             heisenberg.ch_coefficients(heisenberg.spectral(CELLS[-1]), 1.0)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6])
-    def test_pieced_maxima_equal_whole_grid_maxima(self, workers):
-        got = figures._window_maxima(CELLS, T_SCALED, WINDOWS, workers)
-        assert got.shape == (len(CELLS), len(WINDOWS))
+    def test_pieced_maxima_equal_whole_grid_maxima(self, workers, monkeypatch):
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: workers)
+        got = figures._scan(_window_maxima(T_SCALED, WINDOWS), CELLS, T_SCALED)
+        assert len(got) == len(CELLS)
         for row, params in zip(got, CELLS):
-            assert row.tolist() == _serial_maxima(params, T_SCALED, WINDOWS)
+            assert row == _serial_maxima(params, T_SCALED, WINDOWS)
 
-    def test_more_workers_than_grid_points(self):
+    def test_more_workers_than_grid_points(self, monkeypatch):
+        monkeypatch.setattr(figures, "_usable_cpus", lambda: 4)
         t_scaled = np.linspace(0.0, 2.0, 3)
-        got = figures._window_maxima(CELLS[:2], t_scaled, [1.0, 2.0], 4)
+        got = figures._scan(_window_maxima(t_scaled, [1.0, 2.0]), CELLS[:2], t_scaled)
         for row, params in zip(got, CELLS[:2]):
-            assert row.tolist() == _serial_maxima(params, t_scaled, [1.0, 2.0])
+            assert row == _serial_maxima(params, t_scaled, [1.0, 2.0])
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_failing_cell_is_reported_and_threads_are_joined(self, workers, monkeypatch):
         # at omega = 1 every epsilon from 0.6 up overflows within one scaled unit
         # at these lambdas; the later cells fail too, and some of them first in time
         monkeypatch.setattr(figures, "_usable_cpus", lambda: workers)
+        cells = [ModelParams(1.0, lam, float(eps), 5)
+                 for lam in (0.001, 0.01) for eps in np.linspace(0.0, 0.9, 10)]
+        t_scaled = np.linspace(0.0, 5.0, 1007)
         before = threading.active_count()
         messages = set()
         for _ in range(3):
             with pytest.raises(ValueError) as exc:
-                figures.fig5(lambdas=(0.001, 0.01), omega=1.0, eps_max=0.9, eps_points=10,
-                             points=403)
+                figures._scan(heisenberg.covariance_series, cells, t_scaled)
             messages.add(str(exc.value))
         assert messages == {
-            "Y is not finite at lambda = 0.001, epsilon = 0.6 within the sensitivity window "
-            "(scaled time 1): the second moments overflow; lower eps_max"
+            "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.0894632: "
+            "the second moments overflow; lower epsilon or end the time grid earlier"
         }
         assert threading.active_count() == before
 
-    def test_overflow_in_the_scan_window_names_window_scaled(self):
+    def test_overflow_names_the_cell_and_its_first_scaled_time(self):
         # lambda = 0.01, epsilon = 0.52 first overflows near scaled time 1.98
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ValueError, match=r"^Y is not finite at lambda = 0\.01, "
+                                             r"epsilon = 0\.52, first at scaled time 1\.98603:"):
             figures.fig5(lambdas=(0.01,), omega=1.0, eps_max=0.52, eps_points=2, points=201)
-        assert str(exc.value) == (
-            "Y is not finite at lambda = 0.01, epsilon = 0.52 within the scan window "
-            "(scaled time 2): the second moments overflow; lower eps_max or window_scaled"
-        )
 
-    def test_overflow_only_past_the_scan_window_names_the_sensitivity_window(self):
+    def test_overflow_only_past_the_scan_window_is_refused(self):
         # lambda = 0.1 first overflows near scaled time 4.5 at epsilon = 0.8 and
         # 3.8 at 0.9: the window_scaled = 2 column is finite, the window 5 one not
         scan = dict(lambdas=(0.1,), omega=1.0, eps_max=0.9, eps_points=10, points=201)
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(ValueError, match=r"lambda = 0\.1, epsilon = 0\.8, first at "
+                                             r"scaled time 4\.54092:"):
             figures.fig5(**scan)
-        assert str(exc.value) == (
-            "Y is not finite at lambda = 0.1, epsilon = 0.8 within the sensitivity window "
-            "(scaled time 5): the second moments overflow; lower eps_max"
-        )
         columns, _ = figures.fig5(**scan, sensitivity_windows=(1.0,))
         assert np.isfinite(columns["max_Y_lam0.1"]).all()
 
@@ -121,14 +130,15 @@ class TestScanPool:
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
-def test_fig5_json_is_identical_on_one_cpu_and_on_all(tmp_path):
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5"])
+def test_pooled_json_is_identical_on_one_cpu_and_on_all(name, tmp_path):
     cpu = min(os.sched_getaffinity(0))
     env = {**os.environ, "PYTHONPATH": SRC}
     outputs = []
-    for name, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
-        out = tmp_path / f"{name}.json"
-        subprocess.run([sys.executable, "-m", "cavityent.cli", "fig5", "--config",
-                        str(CONFIGS / "fig5.cfg"), "--format", "json", "--out", str(out)],
+    for run, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
+        out = tmp_path / f"{run}.json"
+        subprocess.run([sys.executable, "-m", "cavityent.cli", name, "--config",
+                        str(CONFIGS / f"{name}.cfg"), "--format", "json", "--out", str(out)],
                        env=env, preexec_fn=pin, check=True, timeout=300)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

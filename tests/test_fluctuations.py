@@ -57,11 +57,20 @@ class TestSampleSchedule:
 
 
 class TestPropagatePiecewise:
+    def test_segment_count_is_the_length_of_values(self):
+        # a stored segment count could disagree with the values it counts
+        p = ModelParams(1.0, 0.05, 0.0, 5)
+        sched = fl.FluctuationSchedule(1.0, np.full(10, 0.3))
+        assert sched.n_segments == 10
+        assert sched.segment_duration(p) == to_physical_time(1.0, p) / 10
+        t_scaled, y = fl.propagate_piecewise(p, sched)
+        assert t_scaled.shape == y.shape == (11,)
+
     def test_constant_schedule_matches_single_shot(self):
         # a schedule with identical segments must compose to the one-step
         # propagator result at each boundary
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        sched = fl.FluctuationSchedule(20, 1.0, np.full(20, 0.1))
+        sched = fl.FluctuationSchedule(1.0, np.full(20, 0.1))
         t_scaled, y = fl.propagate_piecewise(p, sched)
         p_eps = replace(p, epsilon=0.1)
         for s, y_k in zip(t_scaled, y):
@@ -71,7 +80,7 @@ class TestPropagatePiecewise:
 
     def test_zero_pump_reproduces_closed_form(self):
         p = ModelParams(1.0, 0.1, 0.0, 5)
-        sched = fl.FluctuationSchedule(40, 1.0, np.zeros(40))
+        sched = fl.FluctuationSchedule(1.0, np.zeros(40))
         t_scaled, y = fl.propagate_piecewise(p, sched)
         n = p.n_initial
         expected = n * np.abs(np.sin(2 * np.pi * t_scaled)) / (
@@ -116,14 +125,14 @@ class TestPropagatePiecewise:
         with pytest.raises(ValueError, match=r"segment 10 of 100 at lambda = 0\.001; "
                                              r"use more segments"):
             fl.propagate_piecewise(p, sched)
-        finer = replace(sched, n_segments=400, values=np.repeat(sched.values, 4, axis=1))
+        finer = replace(sched, values=np.repeat(sched.values, 4, axis=1))
         assert np.all(np.isfinite(fl.propagate_piecewise(p, finer)[1]))
 
 
 def _stacked(schedules):
     first = schedules[0]
     values = np.stack([sched.values for sched in schedules])
-    return fl.FluctuationSchedule(first.n_segments, first.total_scaled_time, values)
+    return fl.FluctuationSchedule(first.total_scaled_time, values)
 
 
 class TestBatchedPropagation:

@@ -85,6 +85,14 @@ class TestCovarianceMeasure:
                                np.array([-1.0, 1.0]), np.array([1.0, 1.0]))
         assert y[0] == 0.0 and y[1] > 0.0
 
+    def test_nan_denominator_gives_nan(self):
+        # an overflowed photon number must not read as "no entanglement"
+        assert np.isnan(covariance_measure(1, 1, math.nan, 1))
+        assert np.isnan(covariance_measure(1, 1, math.inf - math.inf, 1))
+        y = covariance_measure(np.array([1j, 1j]), np.array([2.0, 2.0]),
+                               np.array([math.nan, 1.0]), np.array([1.0, 1.0]))
+        assert np.isnan(y[0]) and y[1] > 0.0
+
     def test_matches_pump_free_closed_form(self):
         # |N,0> under hopping alone: n_a = N cos^2, n_b = N sin^2,
         # cov(a, b^dag) = i N sin cos, cov(a, b) = 0
