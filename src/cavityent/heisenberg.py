@@ -1,28 +1,28 @@
 """Pumped Heisenberg-picture dynamics of the operator vector (a, b, a^dag, b^dag).
 
 The linear Heisenberg equations i dv/dt = M v are solved by the 4x4
-propagator S(t) = exp(-i t M).  S is built entry by entry from the
-Cayley-Hamilton cubic in M whenever the spectrum {+-alpha, +-gamma} is
-non-degenerate, and by a dense matrix exponential otherwise; `propagators`
-and the moment kernel share one entry builder.  The quadratic congruence
-G(t) = S G(0) S^T transports the second moments of |N,0> and is the
-authoritative route to the covariance measure.  G(0) has three nonzeros,
-(0,2) = N+1, (1,3) = 1 and (2,0) = N, so the congruence is evaluated only at
-the four entries Y reads, each a three-term sum
-G_ij = (N+1) S_i0 S_j2 + S_i1 S_j3 + N S_i2 S_j0.
-<ab> = G_01 reads rows 0 and 1 of S, <ab^dag> = G_03 rows 0 and 3,
-<a^dag a> = G_20 rows 2 and 0 and <b^dag b> = G_31 rows 3 and 1; of the
-last two only the real part is formed.  The kernel builds the fourteen
-entries of S these touch a row at a time, in the order 0, 2, 3, 1: row 0
-first, as three moments read it; row 2 gives <a^dag a>, and the parts of
-row 0 only it reads are dropped with it; row 3 gives <ab^dag>; the
-Cayley-Hamilton coefficients are freed once row 1 is built, and row 1
-gives <ab> and <b^dag b>.  A series that overflows past the parametric
+propagator S(t) = exp(-i t M).  M has the eigenvalues +-alpha and +-gamma;
+where they are distinct S is Sylvester's form over four fixed matrices,
+
+    S(t) = cos(alpha t) P1 + cos(gamma t) P2 + sin(alpha t)/alpha P3 + sin(gamma t)/gamma P4,
+    P1 = (gamma^2 I - M^2)/4B,    P2 = (M^2 - alpha^2 I)/4B,
+    P3 = i (M^3 - gamma^2 M)/4B,  P4 = i (alpha^2 M - M^3)/4B,
+
+with 4B = gamma^2 - alpha^2 and the P built once per epsilon.  For real B
+(every lambda < 2 omega) P1 and P2 are real, P3 and P4 imaginary and the
+four functions real (cosh and sinh/|theta| past the parametric
+instability), so each S_ij is formed as a real and an imaginary part in
+real arithmetic.  A complex B takes complex arithmetic, a degenerate
+spectrum a dense matrix exponential.  `propagators` and the moment kernel
+share this one entry builder.  The quadratic congruence G(t) = S G(0) S^T
+transports the second moments of |N,0> and is the authoritative route to
+the covariance measure; a series that overflows past the parametric
 instability is refused.  The published structure-function formulas for the
 same moments are audited in `audit`, not trusted.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -75,19 +75,25 @@ def spectral(params):
     return SpectralData(a_val, b_val, alpha, gamma, (a_val - 2.0 * b_val).real < 0)
 
 
+def _degenerate(spec_data):
+    """True where 4B, alpha or gamma is within DEGENERACY_TOL of 0 for any element."""
+    return min(np.abs(4.0 * spec_data.B).min(), np.abs(spec_data.alpha).min(),
+               np.abs(spec_data.gamma).min()) < DEGENERACY_TOL
+
+
 def ch_coefficients(spec_data, t):
     """Cayley-Hamilton coefficients (c0, c1, c2, c3) of exp(-i t M).
 
     t and the fields of spec_data may be scalars or arrays; the result has
     shape (4,) + broadcast(spec_data, t), the coefficient index first.
-    Raises DegenerateSpectrumError when 4B or alpha is too small for the
-    interpolation denominators at any element.
+    Raises DegenerateSpectrumError when 4B, alpha or gamma is too small for
+    the interpolation denominators at any element.  Transport does not use
+    these; `audit` checks the published signs with them.
     """
+    if _degenerate(spec_data):
+        raise DegenerateSpectrumError(f"degenerate spectrum: B = {spec_data.B!r}, "
+                                      f"alpha = {spec_data.alpha!r}, gamma = {spec_data.gamma!r}")
     four_b = 4.0 * spec_data.B
-    if min(np.abs(four_b).min(), np.abs(spec_data.alpha).min()) < DEGENERACY_TOL:
-        raise DegenerateSpectrumError(
-            f"degenerate spectrum: 4B = {four_b!r}, alpha = {spec_data.alpha!r}"
-        )
     t = np.asarray(t, dtype=float)
     al, ga = spec_data.alpha, spec_data.gamma
     al_t, ga_t = al * t, ga * t
@@ -103,65 +109,74 @@ def ch_coefficients(spec_data, t):
     return c
 
 
-def _ch_sum(c, m):
-    """entry(i, j) -> S_ij = (c0 I + c1 M + c2 M^2 + c3 M^3)_ij, shaped like broadcast(c[0], M_ij).
+def _cos_sinc(q, t):
+    """cos(theta t) and sin(theta t)/theta for theta^2 = q, elementwise.
 
-    A term whose power of M is exactly 0 at (i, j) for every epsilon of
-    the batch is skipped, and c0 is added unscaled on the diagonal.  That
-    leaves every finite sum as it was, up to the sign of a zero.
+    For real q both are real: cosh(|theta| t) and sinh(|theta| t)/|theta| where q < 0.
     """
-    m2 = m @ m
-    powers = (m, m2, m2 @ m)
-    batch = tuple(range(m.ndim - 2))
-    present = [np.any(p != 0, axis=batch) for p in powers]
-    shape = np.broadcast_shapes(c.shape[1:], m.shape[:-2])
-
-    def entry(i, j):
-        s = c[0] if i == j else None
-        for k, (p, nonzero) in enumerate(zip(powers, present), 1):
-            if nonzero[i, j]:
-                term = c[k] * p[..., i, j]
-                s = term if s is None else np.add(s, term, out=term)
-        return np.zeros(shape, dtype=complex) if s is None else s
-
-    return entry
+    if np.iscomplexobj(q):
+        theta = np.sqrt(q)
+        return np.cos(theta * t), np.sin(theta * t) / theta
+    r = np.sqrt(np.abs(q))
+    rt = r * t
+    c, s = np.cos(rt), np.sin(rt)
+    hyperbolic = np.broadcast_to(q < 0, rt.shape)
+    if hyperbolic.any():
+        c[hyperbolic], s[hyperbolic] = np.cosh(rt[hyperbolic]), np.sinh(rt[hyperbolic])
+    return c, s / r
 
 
-def _matrix(entry):
-    """All sixteen entries entry(i, j) as one (..., 4, 4) stack."""
-    return np.stack([np.stack([entry(i, j) for j in range(4)], axis=-1) for i in range(4)],
-                    axis=-2)
+def _entries(params, t):
+    """(entry, shape): entry(i, j) is (Re S_ij, Im S_ij) of S(t) = exp(-i t M), built once.
 
-
-def _propagator_entries(params, t):
-    """(entry, shape): entry(i, j) builds S_ij(t) of exp(-i t M), shaped like broadcast(epsilon, t).
-
-    Cayley-Hamilton path, with one stacked dense-expm call at degenerate
-    spectra: a single degenerate epsilon sends the whole batch to expm.
-    When epsilon and t are both 0-d the entries come back with one axis of
-    length 1 (shape is then ()): numpy's scalar arithmetic rounds complex
-    products differently from its array loops, and a scalar t must give the
-    same bits as the same t on a grid.
+    Both are shaped like broadcast(epsilon, t), but with one axis of length
+    1 when that shape is (): numpy's scalar ufuncs may round differently from
+    its array loops, and a scalar t must give the bits of the same t on a
+    grid.  A single degenerate epsilon sends the whole batch to one stacked
+    dense-expm call, a single complex B the batch to complex arithmetic.
     """
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(np.shape(params.epsilon), t.shape)
     if not shape:
         t = t[None]
     m = build_matrix(params)
-    try:
-        return _ch_sum(ch_coefficients(spectral(params), t), m), shape
-    except DegenerateSpectrumError:
+    sd = spectral(params)
+    if _degenerate(sd):
         s = expm(-1j * t[..., None, None] * m)
-        return (lambda i, j: s[..., i, j]), shape
+        return (lambda i, j: (s[..., i, j].real, s[..., i, j].imag)), shape
+    real = not np.any(sd.B.imag)
+    b = sd.B.real if real else sd.B
+    al2, ga2 = sd.A - 2.0 * b, sd.A + 2.0 * b
+    (ca, sa), (cg, sg) = _cos_sinc(al2, t), _cos_sinc(ga2, t)
+    al2, ga2, four_b = (np.asarray(q)[..., None, None] for q in (al2, ga2, 4.0 * b))
+    m2 = m @ m
+    m3 = m2 @ m
+    p1, p2 = (ga2 * np.eye(4) - m2) / four_b, (m2 - al2 * np.eye(4)) / four_b
+    p3, p4 = (m3 - ga2 * m) / four_b, (al2 * m - m3) / four_b  # P3/i and P4/i
+
+    def entry(i, j):
+        cos_part = ca * p1[..., i, j]
+        cos_part += cg * p2[..., i, j]
+        sin_part = sa * p3[..., i, j]
+        sin_part += sg * p4[..., i, j]
+        if real:
+            return cos_part, sin_part
+        return cos_part.real - sin_part.imag, cos_part.imag + sin_part.real
+
+    return cache(entry), shape
+
+
+def _complex(re, im):
+    z = np.array(re, dtype=complex)
+    z.imag = im
+    return z
 
 
 def propagators(params, t):
-    """S(t) = exp(-i t M); shape broadcast(epsilon, t) + (4, 4).
-
-    t and params.epsilon may each be a scalar or an array.
-    """
-    entry, shape = _propagator_entries(params, t)
-    return _matrix(entry).reshape(shape + (4, 4))
+    """S(t) = exp(-i t M) for scalar or array t and epsilon; shape broadcast(epsilon, t) + (4, 4)."""
+    entry, shape = _entries(params, t)
+    re, im = np.moveaxis([[entry(i, j) for j in range(4)] for i in range(4)], (0, 1), (-2, -1))
+    return _complex(re, im).reshape(shape + (4, 4))
 
 
 def initial_moments(n_initial):
@@ -178,64 +193,33 @@ def transported_moment_arrays(params, t):
 
     Second moments are carried by the congruence G(t) = S G(0) S^T, taken
     only at the four entries read here: over the three nonzeros of G(0)
-    (see initial_moments) each is G_ij = (N+1) S_i0 S_j2 + S_i1 S_j3 + N S_i2 S_j0.
-    The products are formed from real and imaginary parts, because numpy's
-    SIMD complex multiply fuses multiply-adds on hosts that have them and
-    the last bit of the moments would then depend on the host.  First
-    moments of |N,0> vanish and stay zero under the homogeneous equations,
-    so covariances equal raw second moments.  The rows of S are built in
-    the order the module docstring gives, each dropped once read.
+    (see initial_moments) each is G_ij = (N+1) S_i0 S_j2 + S_i1 S_j3 + N S_i2 S_j0,
+    summed in real arithmetic (numpy's SIMD complex multiply fuses
+    multiply-adds on some hosts) over the fourteen entries of S it reads.
+    First moments of |N,0> vanish and stay zero under the homogeneous
+    equations, so covariances equal raw second moments.
     """
-    entry, shape = _propagator_entries(params, t)
+    s, shape = _entries(params, t)
     g0 = initial_moments(params.n_initial)
     terms = [(k, l, g0[k, l].real) for k, l in zip(*np.nonzero(g0))]
 
-    def x(i, s=None):  # the parts G(0)_kl S_ik by term; s is row i if built
-        return [_parts(entry(i, k) if s is None else s[k], value) for k, _, value in terms]
+    def g(i, j, imag):  # G_ij, or only its real part
+        re = im = 0.0
+        for k, l, value in terms:
+            (xr, xi), (yr, yi) = s(i, k), s(j, l)
+            part = xr * yr
+            part -= xi * yi
+            part *= value
+            re += part
+            if imag:
+                part = xr * yi
+                part += xi * yr
+                part *= value
+                im += part
+        return _complex(re, im) if imag else re
 
-    def y(j, s=None):  # the parts S_jl by term
-        return [_parts(entry(j, l) if s is None else s[l]) for _, l, _ in terms]
-
-    s = [entry(0, j) for j in range(4)]
-    x0, y0 = x(0, s), y(0, s)
-    del s
-    na = _contract(x(2), y0)
-    del y0
-    s = [entry(3, j) for j in range(4)]
-    cov_ab_dagger = _contract(x0, y(3, s), imag=True)
-    x3 = x(3, s)
-    del s
-    y1 = y(1)
-    del entry  # the last entry is built: frees the coefficients
-    cov_ab = _contract(x0, y1, imag=True)
-    del x0
-    nb = _contract(x3, y1)
-    return tuple(q.reshape(shape) for q in (cov_ab, cov_ab_dagger, na, nb))
-
-
-def _parts(s, value=1.0):
-    """(real, imag) of value * s, without the product when value is 1."""
-    if value == 1.0:
-        return s.real, s.imag
-    return value * s.real, value * s.imag
-
-
-def _contract(x, y, imag=False):
-    """Sum over terms of x y from (real, imag) parts; complex if imag, else the real part only."""
-    re = im = None
-    for (xr, xi), (yr, yi) in zip(x, y):
-        part = xr * yr
-        part -= xi * yi
-        re = part if re is None else np.add(re, part, out=re)
-        if imag:
-            part = xr * yi
-            part += xi * yr
-            im = part if im is None else np.add(im, part, out=im)
-    if not imag:
-        return re
-    g = np.empty(re.shape, dtype=complex)
-    g.real, g.imag = re, im
-    return g
+    moments = g(0, 1, True), g(0, 3, True), g(2, 0, False), g(3, 1, False)
+    return tuple(q.reshape(shape) for q in moments)
 
 
 def moments_of(g):

@@ -61,11 +61,22 @@ def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):
 
     with h = vacuum_half, the +1/2 vacuum term (smaller when the moments are
     carried divided by a scale factor).  Y is 0 where the denominator is not
-    positive, NaN where it is NaN.  Every route computes Y through this one function.
+    positive, NaN where it is NaN.  Where the largest moment passes 2^500,
+    all four and h are first divided by 2^k, k its binary exponent: exact,
+    and the squares stay finite until a moment itself overflows.  Every
+    route computes Y through this one function.
     """
     # asarray: scalars take the array arithmetic, so both agree bit for bit
-    num = np.abs(np.asarray(cov_ab_dagger)) ** 2 + np.abs(np.asarray(cov_ab)) ** 2
-    den = 2.0 * (np.asarray(nbar_a) + vacuum_half) * (np.asarray(nbar_b) + vacuum_half)
+    parts = [np.abs(np.asarray(cov_ab_dagger)), np.abs(np.asarray(cov_ab)),
+             np.asarray(nbar_a), np.asarray(nbar_b), vacuum_half]
+    _, k = np.frexp(np.maximum(np.maximum(parts[0], parts[1]),
+                               np.maximum(np.abs(parts[2]), np.abs(parts[3]))))
+    if np.any(k > 500):
+        scale = np.ldexp(1.0, np.where(k > 500, -k, 0))
+        parts = [q * scale for q in parts]
+    abs_abd, abs_ab, nbar_a, nbar_b, half = parts
+    num = abs_abd ** 2 + abs_ab ** 2
+    den = 2.0 * (nbar_a + half) * (nbar_b + half)
     ratio = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=~(den <= 0))
     return np.sqrt(ratio)
 

@@ -255,11 +255,11 @@ class TestCliEndToEnd:
 
     @pytest.mark.parametrize("argv, message", [
         (["fig5", "--lambdas", "0.001", *_OVERFLOWING_SCAN],
-         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.0898204"),
+         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.179641"),
         (["sweep", "--lambda", "0.001", *_OVERFLOWING_SCAN],
-         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.09:"),
+         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.17:"),
         (["fig3", *_OVERFLOWING_PAIR],
-         "Y is not finite at lambda = 0.01, epsilon = 0.9, first at scaled time 0.385:"),
+         "Y is not finite at lambda = 0.01, epsilon = 0.9, first at scaled time 0.755:"),
         (["fig4", *_OVERFLOWING_PAIR],
          "the photon ratio is not finite at lambda = 0.01, epsilon = 0.9, first at "
          "scaled time 0.755:"),

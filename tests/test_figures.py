@@ -76,23 +76,23 @@ class TestScanPool:
                 figures._scan(heisenberg.covariance_series, cells, t_scaled)
             messages.add(str(exc.value))
         assert messages == {
-            "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.0894632: "
+            "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.173956: "
             "the second moments overflow; lower epsilon or end the time grid earlier"
         }
         assert threading.active_count() == before
 
     def test_overflow_names_the_cell_and_its_first_scaled_time(self):
-        # lambda = 0.01, epsilon = 0.52 first overflows near scaled time 1.98
+        # lambda = 0.01, epsilon = 0.52 first overflows near scaled time 3.93
         with pytest.raises(ValueError, match=r"^Y is not finite at lambda = 0\.01, "
-                                             r"epsilon = 0\.52, first at scaled time 1\.98603:"):
+                                             r"epsilon = 0\.52, first at scaled time 3\.93214:"):
             figures.fig5(lambdas=(0.01,), omega=1.0, eps_max=0.52, eps_points=2, points=201)
 
     def test_overflow_only_past_the_scan_window_is_refused(self):
-        # lambda = 0.1 first overflows near scaled time 4.5 at epsilon = 0.8 and
-        # 3.8 at 0.9: the window_scaled = 2 column is finite, the window 5 one not
-        scan = dict(lambdas=(0.1,), omega=1.0, eps_max=0.9, eps_points=10, points=201)
-        with pytest.raises(ValueError, match=r"lambda = 0\.1, epsilon = 0\.8, first at "
-                                             r"scaled time 4\.54092:"):
+        # lambda = 0.1 first overflows near scaled time 4.7 at epsilon = 1.3 and
+        # 4.3 at 1.4: the window_scaled = 2 column is finite, the window 5 one not
+        scan = dict(lambdas=(0.1,), omega=1.0, eps_max=1.4, eps_points=15, points=201)
+        with pytest.raises(ValueError, match=r"lambda = 0\.1, epsilon = 1\.3, first at "
+                                             r"scaled time 4\.71058:"):
             figures.fig5(**scan)
         columns, _ = figures.fig5(**scan, sensitivity_windows=(1.0,))
         assert np.isfinite(columns["max_Y_lam0.1"]).all()
@@ -142,3 +142,15 @@ def test_pooled_json_is_identical_on_one_cpu_and_on_all(name, tmp_path):
                        env=env, preexec_fn=pin, check=True, timeout=300)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("table, setting", [
+    (figures.fig1, "n_values"),
+    (figures.fig3, "pairs"),
+    (figures.fig4, "pairs"),
+    (figures.fig5, "lambdas"),
+    (figures.fig6, "lambdas"),
+], ids=["fig1", "fig3", "fig4", "fig5", "fig6"])
+def test_an_empty_list_setting_is_refused_by_name(table, setting):
+    with pytest.raises(ValueError, match=f"^{setting} must list at least one value$"):
+        table(**{setting: ()})

@@ -110,3 +110,13 @@ class TestCovarianceMeasure:
         y_scaled = covariance_measure((0.3 + 0.1j) / scale, 2.0j / scale,
                                       4.0 / scale, 1.5 / scale, 0.5 / scale)
         assert y_scaled == pytest.approx(y, rel=1e-12)
+
+    def test_moments_past_the_square_range_give_finite_y(self):
+        # the squares overflow past about 1e154; Y itself stays a bounded ratio
+        assert covariance_measure(1e155, 0, 1e155, 1e155) == pytest.approx(math.sqrt(0.5))
+        assert covariance_measure(1e150, 0, 1e160, 1e160) == pytest.approx(
+            math.sqrt(0.5) * 1e-10)
+        y = covariance_measure(np.array([1e155, 0.3 + 0.1j]), np.array([0.0, 2.0j]),
+                               np.array([1e155, 4.0]), np.array([1e155, 1.5]))
+        assert y[0] == pytest.approx(math.sqrt(0.5))
+        assert y[1] == covariance_measure(0.3 + 0.1j, 2.0j, 4.0, 1.5)
