@@ -13,16 +13,29 @@ extra (-i)^n to the n-th amplitude; that relative phase drops out of every
 quantity computed from this module (|amplitude|, photon numbers, Y, the
 reduced spectrum and the entropy), and the brute-force Fock comparison is
 therefore done on magnitudes.
+
+Binomials are exact integers (math.comb) before their logarithm is taken,
+and 0 log 0 is 0 throughout (_xlogy).
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .params import covariance_measure
 
 
 def _log_binomial(n, k):
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    """log C(n, k) for an integer n and an integer array k, from the exact binomial."""
+    return np.array([math.log(math.comb(n, int(j))) for j in np.ravel(k)]).reshape(np.shape(k))
+
+
+def _xlogy(x, y):
+    """x log y elementwise, 0 where x == 0 (also for y == 0); -inf for x > 0, y == 0."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+    return np.multiply(x, log_y, out=np.zeros(x.shape), where=x != 0)
 
 
 def binomial_state(params, t):
@@ -84,8 +97,8 @@ def reduced_spectrum(params, t):
     c2 = np.cos(params.lam * t) ** 2
     s2 = 1.0 - c2
     log_p = _log_binomial(n_total, n)
-    # p_n = C(N,n) cos^(2(N-n)) sin^(2n); handle c2 or s2 = 0 via xlogy
-    log_p = log_p + xlogy(n_total - n, c2) + xlogy(n, s2)
+    # p_n = C(N,n) cos^(2(N-n)) sin^(2n); handle c2 or s2 = 0 via _xlogy
+    log_p = log_p + _xlogy(n_total - n, c2) + _xlogy(n, s2)
     p = np.where(np.isneginf(log_p), 0.0, np.exp(log_p))
     return p
 
@@ -93,4 +106,4 @@ def reduced_spectrum(params, t):
 def entropy(probabilities):
     """von Neumann entropy in bits, with 0 log 0 = 0."""
     p = np.asarray(probabilities, dtype=float)
-    return float(-np.sum(xlogy(p, p)) / np.log(2.0))
+    return float(-np.sum(_xlogy(p, p)) / np.log(2.0))

@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy loads numpy.random lazily: load it with this module, not in the first draw
+from numpy.random import SeedSequence, default_rng
 
 from . import heisenberg
 from .params import covariance_measure, to_physical_time
@@ -72,7 +74,7 @@ def sample_schedule(mean, n_segments=100, total_scaled_time=5.0, seed=0, spread=
         sigma = mean / 10.0
     else:
         raise ValueError(f"unknown spread mode {spread!r}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     values = rng.normal(loc=mean, scale=sigma, size=int(n_segments))
     return FluctuationSchedule(float(total_scaled_time), values)
 
@@ -113,7 +115,7 @@ def propagate_piecewise(params, schedule):
 
 
 def trial_seed(master_seed, trial):
-    return np.random.SeedSequence([int(master_seed), int(trial)])
+    return SeedSequence([int(master_seed), int(trial)])
 
 
 def run_ensemble(

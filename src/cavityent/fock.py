@@ -6,8 +6,10 @@ full Hamiltonian
     H = omega (n_a + n_b) + lambda (a^dag b + a b^dag)
         + epsilon (a^dag^2 + a^2) + drive (a^dag + a)
 
-is assembled as a sparse real-symmetric matrix on a per-mode photon-number
-box, evolved by spectral decomposition, and interrogated for moments, the
+is written once as a table of its matrix elements (_terms) and assembled
+from it as a list of nonzero entries (SparseMatrix) on a per-mode
+photon-number box, or on the states n_a + n_b <= K of the box; it is
+evolved by spectral decomposition, and interrogated for moments, the
 covariance measure and the a-mode entanglement entropy.
 
 Only the sector that the initial state reaches under H is diagonalised:
@@ -15,7 +17,7 @@ the photon-number parity sector when pumped (hopping keeps n_a + n_b and
 the pump changes n_a by 2), the N-photon shell without pump or drive, and
 the whole basis under a linear drive.  The sector is found from H's nonzero
 values and checked, not assumed: H must have no entry between it and the
-rest of the basis.
+rest of the basis.  Only its block is made dense.
 
 check_convergence truncates on total photon number, n_a + n_b <= K, and
 certifies K with a bound, never assumed: hopping keeps n_a + n_b, so only
@@ -24,9 +26,9 @@ the Duhamel formula bounds the distance between the truncated and the
 exact state by that coupling along the truncated evolution.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
-import scipy.linalg
-from scipy import sparse
 
 from .binomial import entropy
 from .params import covariance_measure
@@ -64,73 +66,113 @@ def fock_state(basis, n_a, n_b):
     return psi
 
 
-def _destroy(cutoff):
-    return np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A real matrix kept as its entries: values[k] at (rows[k], cols[k]), each place once.
+
+    A stored 0.0 counts as no coupling (reachable_sector, SpectralEvolver).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple
+
+    @property
+    def dtype(self):  # with shape, what perfbench's eigh counter reads of a matrix
+        return self.values.dtype
+
+
+def _terms(params, n_a, n_b, linear_drive):
+    """H's matrix elements out of the states |n_a, n_b> (integer arrays).
+
+    Yields (da, db, value), value = <n_a + da, n_b + db| H |n_a, n_b>, for
+    the diagonal and for each term that raises n_a.  H is real symmetric:
+    the terms that lower n_a are the transposes of these.
+    """
+    up_a = np.sqrt(n_a + 1.0)
+    yield 0, 0, params.omega * (n_a + n_b)                      # omega (n_a + n_b)
+    yield 1, -1, params.lam * (up_a * np.sqrt(n_b))             # lambda a^dag b
+    yield 2, 0, params.epsilon * (up_a * np.sqrt(n_a + 2.0))    # epsilon a^dag^2
+    yield 1, 0, linear_drive * up_a                             # drive a^dag
+
+
+def _assemble(params, basis, total, linear_drive):
+    """(h, leak) for H on the states of basis with n_a + n_b <= total.
+
+    h is H restricted to those states, in basis's flat index; an element
+    that leaves the box is dropped.  leak holds the elements from them to
+    the states with n_a + n_b > total: its columns are basis's states, its
+    rows n_a (cutoff_b + 1) + n_b for the states reached.  Zero elements
+    are not stored.
+    """
+    width = basis.cutoff_b + 1
+    n_a, n_b = np.divmod(np.arange(basis.dim), width)
+    source = np.flatnonzero(n_a + n_b <= total)
+    n_a, n_b = n_a[source], n_b[source]
+    h, leak = [], []
+    for da, db, value in _terms(params, n_a, n_b, linear_drive):
+        to_a, to_b = n_a + da, n_b + db
+        stored = (value != 0) & (to_b >= 0)
+        kept = stored & (to_a + to_b <= total) & (to_a <= basis.cutoff_a)
+        target = to_a * width + to_b
+        h.append((target[kept], source[kept], value[kept]))
+        if da or db:  # and its transpose, the term that lowers n_a
+            h.append((source[kept], target[kept], value[kept]))
+        out = stored & (to_a + to_b > total)
+        leak.append((target[out], source[out], value[out]))
+    rows, cols, values = (np.concatenate(part) for part in zip(*h))
+    h = SparseMatrix(rows, cols, values, (basis.dim, basis.dim))
+    rows, cols, values = (np.concatenate(part) for part in zip(*leak))
+    return h, SparseMatrix(rows, cols, values, ((basis.cutoff_a + 3) * width, basis.dim))
 
 
 def build_hamiltonian(params, basis, linear_drive=0.0):
-    """Sparse (CSR) real-symmetric Hamiltonian matrix in the truncated basis.
+    """Real-symmetric Hamiltonian on the box, as a SparseMatrix in basis's flat index.
 
-    Nothing here is densified: SpectralEvolver makes dense only the block
-    of the sector it diagonalises.
+    Nothing here is dense: SpectralEvolver makes dense only the block of
+    the sector it diagonalises.
     """
-    a1 = sparse.csr_matrix(_destroy(basis.cutoff_a))
-    b1 = sparse.csr_matrix(_destroy(basis.cutoff_b))
-    ia = sparse.identity(basis.cutoff_a + 1, format="csr")
-    ib = sparse.identity(basis.cutoff_b + 1, format="csr")
-    a = sparse.kron(a1, ib, format="csr")
-    b = sparse.kron(ia, b1, format="csr")
-    num = sparse.kron(sparse.diags(np.arange(basis.cutoff_a + 1.0)), ib) + sparse.kron(
-        ia, sparse.diags(np.arange(basis.cutoff_b + 1.0))
-    )
-    h = params.omega * num
-    h = h + params.lam * (a.T @ b + a @ b.T)
-    h = h + params.epsilon * (a.T @ a.T + a @ a)
-    if linear_drive:
-        h = h + linear_drive * (a.T + a)
-    h = sparse.csr_matrix(h)
-    if (h != h.T).nnz:
-        raise AssertionError("Hamiltonian not symmetric")
-    return h
+    return _assemble(params, basis, basis.cutoff_a + basis.cutoff_b, linear_drive)[0]
 
 
 def reachable_sector(h, state):
     """Boolean mask of the basis states that state's support reaches under h.
 
     Breadth-first search over the nonzero values of h, not its stored
-    structure: a zero coupling (epsilon = 0, say) may still be stored and
+    entries: a zero coupling (epsilon = 0, say) may still be stored and
     must not join two sectors.
     """
-    h = sparse.csr_matrix(h)
+    linked = h.values != 0
+    rows, cols = h.rows[linked], h.cols[linked]
     sector = np.asarray(state) != 0
-    frontier = np.flatnonzero(sector)
-    while frontier.size:
-        rows = h[frontier]
-        reached = rows.indices[rows.data != 0]
-        frontier = np.unique(reached[~sector[reached]])
-        sector[frontier] = True
-    return sector
+    while True:
+        reached = rows[sector[cols] & ~sector[rows]]
+        if not reached.size:
+            return sector
+        sector[reached] = True
 
 
 class SpectralEvolver:
     """Eigendecomposition of H on one H-invariant sector of the basis.
 
     The sector (a boolean mask, usually from reachable_sector) is checked,
-    not assumed: any nonzero entry of H between the sector and the rest of
-    the basis raises.  States are taken and returned in the full basis.
+    not assumed: any nonzero entry of H (a SparseMatrix) between the sector
+    and the rest of the basis raises.  The sector's block is made dense and
+    diagonalised by numpy.linalg.eigh (LAPACK's divide-and-conquer syevd).
+    States are taken and returned in the full basis.
     """
 
     def __init__(self, h, sector):
-        h = sparse.csr_matrix(h)
         self.sector = np.asarray(sector, dtype=bool)
-        inside = np.flatnonzero(self.sector)
-        outside = np.flatnonzero(~self.sector)
-        if h[inside][:, outside].count_nonzero() or h[outside][:, inside].count_nonzero():
+        row_in, col_in = self.sector[h.rows], self.sector[h.cols]
+        if np.any((row_in != col_in) & (h.values != 0)):
             raise ValueError("sector is not invariant under H: it couples to the rest of the basis")
-        # the densified block is a temporary: LAPACK overwrites it in place,
-        # without a copy because it is laid out in Fortran order
-        block = h[inside][:, inside].toarray(order="F")
-        self.energies, self.modes = scipy.linalg.eigh(block, overwrite_a=True, driver="evd")
+        self._position = np.cumsum(self.sector) - 1  # flat index -> row of the block
+        block = np.zeros((self._position[-1] + 1,) * 2)
+        inside = row_in & col_in
+        block[self._position[h.rows[inside]], self._position[h.cols[inside]]] = h.values[inside]
+        self.energies, self.modes = np.linalg.eigh(block)
 
     def at(self, psi0, t):
         return self.at_times(psi0, [t])[0]
@@ -151,9 +193,10 @@ class SpectralEvolver:
     def leak_bound(self, leak, psi0, t):
         """B(t) = sqrt(t int_0^t |leak psi(s)|^2 ds) for psi(s) = exp(-iHs) psi0.
 
-        leak has the basis as columns (see truncation).  With x the
-        eigen-coefficients of psi0 and W = (leak V)^dag (leak V) on the
-        sector's eigenvectors V, the integral is exact, with no quadrature:
+        leak is a SparseMatrix with the basis as columns (see truncation).
+        With x the eigen-coefficients of psi0 and W = (leak V)^dag (leak V)
+        on the sector's eigenvectors V, the integral is exact, with no
+        quadrature:
 
             sum_jk conj(x_j) x_k W_jk (exp(i w_jk t) - 1) / (i w_jk),
 
@@ -162,8 +205,11 @@ class SpectralEvolver:
         there.
         """
         coeff = self._coefficients(psi0)
-        leak = sparse.csr_matrix(leak)[:, self.sector]
-        z = (leak[np.diff(leak.indptr) > 0] @ self.modes) * coeff
+        inside = self.sector[leak.cols]
+        reached, row = np.unique(leak.rows[inside], return_inverse=True)
+        block = np.zeros((reached.size, self.energies.size))
+        block[row, self._position[leak.cols[inside]]] = leak.values[inside]
+        z = (block @ self.modes) * coeff
         gap = self.energies[:, None] - self.energies[None, :]
         kernel = t * np.exp(0.5j * gap * t) * np.sinc(gap * t / (2.0 * np.pi))
         integral = np.sum((z.conj().T @ z) * kernel).real
@@ -242,20 +288,13 @@ def truncation(params, cutoff, linear_drive=0.0):
     """H truncated to T = {n_a + n_b <= cutoff}, and its coupling out of T.
 
     Returns (basis, h, leak) on the (cutoff, cutoff) box.  h is P H P, P the
-    projector onto T: every entry of H that touches a state outside T is
-    dropped.  leak is Q H P, Q = 1 - P: its columns are the box's states,
-    its rows the states outside T of the (cutoff + 2, cutoff + 2) box,
-    which holds every state H reaches from T.  Both are cut from one
-    build_hamiltonian on that wider box.
+    projector onto T: it holds only the elements between states of T.
+    leak is Q H P, Q = 1 - P: its columns are the box's states, its rows
+    the states outside T that H reaches from T (see _assemble).  Both are
+    built directly on T, from one table of H's elements.
     """
-    wide = TruncatedBasis(cutoff + 2, cutoff + 2)
-    n_a, n_b = np.divmod(np.arange(wide.dim), wide.cutoff_b + 1)
-    h = build_hamiltonian(params, wide, linear_drive)
-    # the (cutoff, cutoff) box, in its own flat order
-    box = (n_a <= cutoff) & (n_b <= cutoff)
-    p = sparse.diags((n_a + n_b <= cutoff)[box].astype(float))
-    leak = h[n_a + n_b > cutoff][:, box]
-    return TruncatedBasis(cutoff, cutoff), sparse.csr_matrix(p @ h[box][:, box] @ p), leak
+    basis = TruncatedBasis(cutoff, cutoff)
+    return (basis, *_assemble(params, basis, cutoff, linear_drive))
 
 
 def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):

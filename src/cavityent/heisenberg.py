@@ -13,11 +13,12 @@ with 4B = gamma^2 - alpha^2 and the P built once per epsilon.  For real B
 four functions real (cosh and sinh/|theta| past the parametric
 instability), so each S_ij is formed as a real and an imaginary part in
 real arithmetic.  A complex B takes complex arithmetic, a degenerate
-spectrum a dense matrix exponential.  `propagators` and the moment kernel
-share this one entry builder.  The quadratic congruence G(t) = S G(0) S^T
-transports the second moments of |N,0> and is the authoritative route to
-the covariance measure; a series that overflows past the parametric
-instability is refused.  The published structure-function formulas for the
+spectrum the dense matrix exponential `expm` (Pade 13 with scaling and
+squaring).  `propagators` and the moment kernel share this one entry
+builder.  The quadratic congruence G(t) = S G(0) S^T transports the
+second moments of |N,0> and is the authoritative route to the covariance
+measure; a series that overflows past the parametric instability is
+refused.  The published structure-function formulas for the
 same moments are audited in `audit`, not trusted.
 """
 
@@ -25,11 +26,19 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .params import covariance_measure, to_scaled_time
 
 DEGENERACY_TOL = 1e-10
+
+# Pade 13 numerator coefficients b_0 .. b_13 over b_0, so that exp(0) = I
+# exactly, and the 1-norm bound theta_13 up to which the approximant is
+# accurate to unit roundoff (Higham 2005, Tables 2.3 and 2.2)
+PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+THETA13 = 5.371920351148152
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -60,9 +69,10 @@ def spectral(params):
     """Eigenvalue data {A, B, alpha, gamma} of M for real epsilon.
 
     params.epsilon may be an array; every field then has its shape.  The
-    four eigenvalues of M are +-alpha and +-gamma.  A - 2B < 0 marks the
-    parametrically unstable regime (alpha imaginary, exponential growth);
-    it is flagged, not an error.
+    four eigenvalues of M are +-alpha and +-gamma.  An alpha or gamma with a
+    nonzero imaginary part marks the parametrically unstable regime
+    (exponential growth): A - 2B < 0 for real B, or any complex B.  It is
+    flagged, not an error.
     """
     w, l = params.omega, params.lam
     e = np.asarray(params.epsilon, dtype=float)
@@ -72,7 +82,38 @@ def spectral(params):
     b_val = np.sqrt(radicand + 0j)
     alpha = np.sqrt(a_val - 2.0 * b_val)
     gamma = np.sqrt(a_val + 2.0 * b_val)
-    return SpectralData(a_val, b_val, alpha, gamma, (a_val - 2.0 * b_val).real < 0)
+    return SpectralData(a_val, b_val, alpha, gamma, (alpha.imag != 0) | (gamma.imag != 0))
+
+
+def expm(a):
+    """exp(a) for a square matrix or a stack of them (any leading axes).
+
+    Pade 13 with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
+    26 (2005) 1179): each matrix is scaled by 2^-s, s the least with
+    1-norm / 2^s <= THETA13, its [13/13] Pade approximant r is solved for,
+    and r is squared s times.  Each matrix of a stack gets its own s, so
+    it comes out as it would alone.
+    """
+    a = np.asarray(a)
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+    mant, exp = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / THETA13)
+    s = np.maximum(exp - (mant == 0.5), 0)  # ceil(log2(norm / THETA13)), at least 0
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    b = PADE13
+    ident = np.eye(shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r.reshape(shape)
 
 
 def _degenerate(spec_data):

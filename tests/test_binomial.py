@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,22 @@ class TestReducedSpectrumAndEntropy:
             for t in np.linspace(0, 40.0, 53):
                 s = bi.entropy(bi.reduced_spectrum(p, t))
                 assert 0.0 <= s <= math.log2(n + 1) + 1e-12
+
+
+class TestHelpers:
+    @pytest.mark.parametrize("n", [0, 1, 5, 50, 1000])
+    def test_log_binomial_is_log_of_exact_comb(self, n):
+        k = np.arange(n + 1)
+        expected = [math.log(math.comb(n, int(j))) for j in k]
+        assert np.array_equal(bi._log_binomial(n, k), expected)
+
+    def test_xlogy_at_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bi._xlogy(0.0, 0.0) == 0.0
+            assert bi._xlogy(1.0, 0.0) == -math.inf
+            np.testing.assert_array_equal(bi._xlogy([0.0, 2.0, 0.0], [0.0, 0.5, 3.0]),
+                                          [0.0, 2.0 * math.log(0.5), 0.0])
 
 
 class TestJointFeatures:

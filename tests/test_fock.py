@@ -29,11 +29,17 @@ class TestBasis:
         assert psi[basis.index(2, 1)] == 1.0
 
 
+def _dense(h):
+    out = np.zeros(h.shape)
+    out[h.rows, h.cols] = h.values
+    return out
+
+
 class TestHamiltonian:
     def test_diagonal_counts_photons(self):
         p = ModelParams(1.3, 0.0, 0.0, 0)
         basis = fock.TruncatedBasis(3, 3)
-        h = fock.build_hamiltonian(p, basis)
+        h = _dense(fock.build_hamiltonian(p, basis))
         for n_a in range(4):
             for n_b in range(4):
                 i = basis.index(n_a, n_b)
@@ -43,7 +49,7 @@ class TestHamiltonian:
         # <n_a - 1, n_b + 1| H |n_a, n_b> = lam sqrt(n_a (n_b + 1))
         p = ModelParams(1.0, 0.1, 0.0, 0)
         basis = fock.TruncatedBasis(5, 5)
-        h = fock.build_hamiltonian(p, basis)
+        h = _dense(fock.build_hamiltonian(p, basis))
         i = basis.index(3, 1)
         j = basis.index(2, 2)
         assert h[j, i] == pytest.approx(0.1 * math.sqrt(3 * 2))
@@ -52,14 +58,15 @@ class TestHamiltonian:
         # <n_a + 2, n_b| H |n_a, n_b> = eps sqrt((n_a + 1)(n_a + 2))
         p = ModelParams(1.0, 0.0, 0.2, 0)
         basis = fock.TruncatedBasis(6, 2)
-        h = fock.build_hamiltonian(p, basis)
+        h = _dense(fock.build_hamiltonian(p, basis))
         i = basis.index(1, 1)
         j = basis.index(3, 1)
         assert h[j, i] == pytest.approx(0.2 * math.sqrt(2 * 3))
 
     def test_drive_element(self):
         basis = fock.TruncatedBasis(4, 1)
-        h = fock.build_hamiltonian(ModelParams(1.0, 0.0, 0.0, 0), basis, linear_drive=0.05)
+        p = ModelParams(1.0, 0.0, 0.0, 0)
+        h = _dense(fock.build_hamiltonian(p, basis, linear_drive=0.05))
         i = basis.index(1, 0)
         j = basis.index(2, 0)
         assert h[j, i] == pytest.approx(0.05 * math.sqrt(2))
@@ -68,7 +75,9 @@ class TestHamiltonian:
         p = ModelParams(1.0, 0.1, 0.1, 0)
         basis = fock.TruncatedBasis(8, 8)
         h = fock.build_hamiltonian(p, basis, linear_drive=0.02)
-        assert (h != h.T).nnz == 0
+        dense = _dense(h)
+        assert np.count_nonzero(dense) == h.values.size  # every stored entry is a nonzero
+        assert np.array_equal(dense, dense.T)
 
 
 def _evolve(psi0, h, t):
@@ -130,7 +139,7 @@ def _shell(basis):
 
 def _full_basis_states(h, psi0, times):
     # reference: dense eigh of the whole matrix, no sector reduction
-    energies, modes = np.linalg.eigh(h.toarray())
+    energies, modes = np.linalg.eigh(_dense(h))
     coeff = modes.T @ psi0
     return np.array([modes @ (np.exp(-1j * energies * t) * coeff) for t in times])
 
@@ -162,9 +171,8 @@ class TestSectorEvolver:
         basis = fock.TruncatedBasis(10, 10)
         h = fock.build_hamiltonian(ModelParams(1.0, 0.1, 0.1, 5), basis)
         shell = _shell(basis)
-        rows = np.repeat(np.arange(basis.dim), np.diff(h.indptr))
-        h.data[shell[rows] != shell[h.indices]] = 0.0
-        assert h.count_nonzero() < h.nnz
+        h.values[shell[h.rows] != shell[h.cols]] = 0.0
+        assert 0 < np.count_nonzero(h.values) < h.values.size
         sector = fock.reachable_sector(h, fock.fock_state(basis, 5, 0))
         np.testing.assert_array_equal(sector, shell == 5)
 

@@ -77,6 +77,16 @@ class TestSpectral:
                 assert np.array_equal(getattr(batch, field)[k], getattr(single, field))
         assert batch.unstable.tolist() == [False, False, False, True]
 
+    def test_complex_b_is_flagged_unstable(self):
+        # lambda > 2 omega: B = 3.32i and alpha = 2.11 - 1.57i, so n_a grows
+        # from 5 to about 4e13 by t = 10 although A - 2B has a positive real part
+        p = ModelParams(1.0, 3.0, 2.0, 5)
+        sd = hb.spectral(p)
+        assert sd.B.real == 0.0 and sd.B.imag > 0 and (sd.A - 2.0 * sd.B).real > 0
+        assert sd.unstable
+        _, _, na, _ = hb.transported_moment_arrays(p, np.array([0.0, 5.0, 10.0]))
+        assert na[0] == pytest.approx(5.0) and na[2] > 1e13
+
 
 class TestChCoefficients:
     def test_identity_at_t0(self):
@@ -100,6 +110,31 @@ class TestChCoefficients:
         sd = hb.spectral(ModelParams(1.0, 0.0, 0.0, 0))  # B = 0
         with pytest.raises(hb.DegenerateSpectrumError):
             hb.ch_coefficients(sd, 1.0)
+
+
+class TestExpm:
+    def test_matches_scipy_on_stacked_stable_cells(self):
+        rng = np.random.default_rng(13)
+        eps = rng.uniform(0.0, 0.45, size=(3, 5))  # below the threshold 0.495 at lambda = 0.1
+        times = rng.uniform(0.0, 100.0, size=(3, 5))
+        a = -1j * times[..., None, None] * hb.build_matrix(ModelParams(1.0, 0.1, eps, 5))
+        stack = hb.expm(a)
+        assert stack.shape == (3, 5, 4, 4)
+        for idx in np.ndindex(eps.shape):
+            assert rel_err(stack[idx], expm(a[idx])) < 1e-12
+
+    def test_batch_shape_and_members(self):
+        # each matrix of a stack comes out as it does alone, bit for bit,
+        # whatever its own scaling; zero gives the identity
+        m = hb.build_matrix(ModelParams(1.0, 0.1, np.array([0.0, 0.2, 0.6]), 5))
+        a = -1j * np.array([[0.0], [1e-3], [50.0]])[..., None, None] * m[None]
+        stack = hb.expm(a)
+        assert stack.shape == (3, 3, 4, 4)
+        for idx in np.ndindex(3, 3):
+            assert np.array_equal(stack[idx], hb.expm(a[idx]))
+        assert np.array_equal(stack[0], np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert hb.expm(np.zeros((4, 4))).shape == (4, 4)
+        assert hb.expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
 
 class TestPropagator:
@@ -188,13 +223,13 @@ class TestPropagator:
         assert stack.shape == eps.shape + (4, 4)
         m = hb.build_matrix(p)
         for idx in np.ndindex(eps.shape):
-            assert np.array_equal(stack[idx], expm(-1j * 2.0 * m[idx]))
+            assert np.array_equal(stack[idx], hb.expm(-1j * 2.0 * m[idx]))
 
     def test_gamma_zero_goes_to_expm(self):
         # lambda > omega: at omega = 1, lambda = 3, epsilon = 4, A + 2B = -22 + 22 = 0
         p = ModelParams(1.0, 3.0, 4.0, 5)
         assert hb.spectral(p).gamma == 0.0
-        np.testing.assert_array_equal(hb.propagators(p, 0.3), expm(-0.3j * hb.build_matrix(p)))
+        np.testing.assert_array_equal(hb.propagators(p, 0.3), hb.expm(-0.3j * hb.build_matrix(p)))
 
     def test_degenerate_fallback_keeps_time_shape(self):
         p = ModelParams(1.0, 0.0, 0.0, 3)

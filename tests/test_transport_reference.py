@@ -11,6 +11,7 @@ change to the transport may move output digits only if none of them grows.
 import math
 
 import mpmath
+import scipy.linalg
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,3 +160,23 @@ def test_drawn_points_within_bounds(point):
     for name in QUANTITIES:
         bound = BOUNDS["elsewhere"][name]
         assert errors[name] <= bound, f"{name}: {errors[name]:.3g} at {p}, t = {t!r}"
+
+
+def _expm_error(expm, p, t, ref):
+    s = expm(-1j * t * hb.build_matrix(p))
+    return float((np.abs(s - ref) / np.maximum(1.0, np.abs(ref))).max())
+
+
+def test_expm_on_dense_fallback_cells_is_as_accurate_as_scipy():
+    # heisenberg.expm replaced scipy.linalg.expm on the degenerate cells;
+    # against the 40-digit reference it may not be more than twice as far off
+    cells = [(p, times) for regime, p, times in _sample()
+             if hb._degenerate(hb.spectral(p))]
+    assert len(cells) == 3
+    ours = theirs = 0.0
+    for p, times in cells:
+        for t in times:
+            ref = _reference(p, t)[0]
+            ours = max(ours, _expm_error(hb.expm, p, t, ref))
+            theirs = max(theirs, _expm_error(scipy.linalg.expm, p, t, ref))
+    assert ours <= 2.0 * theirs, (ours, theirs)
