@@ -104,6 +104,6 @@ def reduced_spectrum(params, t):
 
 
 def entropy(probabilities):
-    """von Neumann entropy in bits, with 0 log 0 = 0."""
+    """von Neumann entropy in bits, with 0 log 0 = 0; +0.0 for a pure state, not -0.0."""
     p = np.asarray(probabilities, dtype=float)
-    return float(-np.sum(_xlogy(p, p)) / np.log(2.0))
+    return float(0.0 - np.sum(_xlogy(p, p)) / np.log(2.0))

@@ -40,8 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config_file(path):
-    """Flat key = value settings; '#' starts a comment, blank lines ignored."""
-    settings = {}
+    """Flat key = value settings; '#' starts a comment, blank lines ignored, keys unique."""
+    settings, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -49,8 +49,11 @@ def parse_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is already set "
+                                 f"on line {lines[key]}")
+            settings[key], lines[key] = value, lineno
     return settings
 
 

@@ -19,7 +19,8 @@ builder.  The quadratic congruence G(t) = S G(0) S^T transports the
 second moments of |N,0> and is the authoritative route to the covariance
 measure; a series that overflows past the parametric instability is
 refused.  The published structure-function formulas for the
-same moments are audited in `audit`, not trusted.
+same moments, and the Cayley-Hamilton coefficients they are written in,
+live in `audit`, which checks them and never trusts them.
 """
 
 from dataclasses import dataclass
@@ -39,10 +40,6 @@ PADE13 = tuple(b / 64764752532480000.0 for b in (
     129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
     40840800.0, 960960.0, 16380.0, 182.0, 1.0))
 THETA13 = 5.371920351148152
-
-
-class DegenerateSpectrumError(RuntimeError):
-    """Cayley-Hamilton denominators vanish; caller must use the dense path."""
 
 
 @dataclass(frozen=True)
@@ -120,34 +117,6 @@ def _degenerate(spec_data):
     """True where 4B, alpha or gamma is within DEGENERACY_TOL of 0 for any element."""
     return min(np.abs(4.0 * spec_data.B).min(), np.abs(spec_data.alpha).min(),
                np.abs(spec_data.gamma).min()) < DEGENERACY_TOL
-
-
-def ch_coefficients(spec_data, t):
-    """Cayley-Hamilton coefficients (c0, c1, c2, c3) of exp(-i t M).
-
-    t and the fields of spec_data may be scalars or arrays; the result has
-    shape (4,) + broadcast(spec_data, t), the coefficient index first.
-    Raises DegenerateSpectrumError when 4B, alpha or gamma is too small for
-    the interpolation denominators at any element.  Transport does not use
-    these; `audit` checks the published signs with them.
-    """
-    if _degenerate(spec_data):
-        raise DegenerateSpectrumError(f"degenerate spectrum: B = {spec_data.B!r}, "
-                                      f"alpha = {spec_data.alpha!r}, gamma = {spec_data.gamma!r}")
-    four_b = 4.0 * spec_data.B
-    t = np.asarray(t, dtype=float)
-    al, ga = spec_data.alpha, spec_data.gamma
-    al_t, ga_t = al * t, ga * t
-    # sin(theta t)/theta; theta is bounded away from 0 by the degeneracy guard
-    sa, sg = np.sin(al_t) / al, np.sin(ga_t) / ga
-    ca, cg = np.cos(al_t), np.cos(ga_t)
-    al2, ga2 = al ** 2, ga ** 2
-    c = np.empty((4,) + np.broadcast_shapes(np.shape(four_b), np.shape(al_t)), dtype=complex)
-    np.divide(ga2 * ca - al2 * cg, four_b, out=c[0, ...])
-    np.divide(-1j * (ga2 * sa - al2 * sg), four_b, out=c[1, ...])
-    np.divide(cg - ca, four_b, out=c[2, ...])
-    np.divide(1j * (sa - sg), four_b, out=c[3, ...])
-    return c
 
 
 def _cos_sinc(q, t):

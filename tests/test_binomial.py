@@ -113,6 +113,10 @@ class TestReducedSpectrumAndEntropy:
         assert p[1:].max() == 0.0
         assert bi.entropy(p) == 0.0
 
+    def test_pure_state_entropy_is_positive_zero(self):
+        # a pure state's entropy must print as 0 in fig2's S column, not -0
+        assert math.copysign(1.0, bi.entropy([1.0, 0.0])) == 1.0
+
     def test_quarter_period_spectrum(self):
         p = bi.reduced_spectrum(ModelParams(n_initial=5), t_at(0.25))
         expected = np.array([exact_binomial(5, n) for n in range(6)]) / 32.0

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavityent import audit, cli, figures, serialize
+from cavityent import audit, cli, figures, heisenberg, serialize
+from cavityent.params import ModelParams
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -91,6 +92,16 @@ class TestParsing:
         cfg = tmp_path / "a.cfg"
         cfg.write_text("lambda = 0.05  # hopping\n\nt_max_scaled = 2.0\n")
         assert cli.parse_config_file(cfg) == {"lambda": "0.05", "t_max_scaled": "2.0"}
+
+    def test_config_file_rejects_a_repeated_key(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("lambda = 0.1\npoints = 3\nlambda = 0.05\n")
+        with pytest.raises(ValueError, match=r"twice.cfg:3: config key 'lambda' is already "
+                                             r"set on line 1$"):
+            cli.parse_config_file(cfg)
+        code, out, err = run_cli(["fig1", "--config", str(cfg)], capsys)
+        assert code == 1 and out == ""
+        assert "'lambda'" in err and ":3:" in err and "line 1" in err
 
     def test_config_file_rejects_bare_lines(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -310,6 +321,20 @@ class TestCliEndToEnd:
             "pump_free_triple_path", "ch_vs_dense_exponential",
             "published_moment_formulas_audit", "pumped_transport_vs_oracle",
         }
+        triple = report["sections"]["pump_free_triple_path"]
+        assert triple["entropy_oracle_vs_closed"] < triple["tolerance"]
+
+    def test_oracle_check_gates_the_propagators_the_figures_run(self, monkeypatch, capsys):
+        propagators = heisenberg.propagators
+        monkeypatch.setattr(heisenberg, "propagators",
+                            lambda params, t: propagators(params, t) * (1.0 + 1e-6))
+        p = ModelParams(1.0, 0.1, 0.1, 5)
+        assert audit.ch_sign_audit(p, [0.0, 3.7, 31.4])["corrected"] > 1e-9
+        code, out, _ = run_cli(["oracle-check", "--draws", "3"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["sections"]["ch_vs_dense_exponential"]["pass"] is False
 
 
 class TestCommandTable:

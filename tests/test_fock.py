@@ -236,7 +236,8 @@ class TestObservables:
 class TestEntropy:
     def test_product_state_has_zero_entropy(self):
         basis = fock.TruncatedBasis(4, 4)
-        assert fock.reduced_entropy(fock.fock_state(basis, 2, 2), basis) == pytest.approx(0.0)
+        s = fock.reduced_entropy(fock.fock_state(basis, 2, 2), basis)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0  # +0.0, never -0.0
 
     def test_peak_entropy_matches_binomial_spectrum(self):
         N, lam = 5, 0.1
