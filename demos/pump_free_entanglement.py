@@ -23,7 +23,7 @@ t = to_physical_time(scaled, params)
 
 na, nb = bi.photon_numbers(params, t)
 y = bi.covariance_measure_closed(N, LAM, t)
-s = np.array([bi.entropy(bi.reduced_spectrum(params, tk)) for tk in t])
+s = bi.entropy(bi.reduced_spectrum(params, t))
 
 print(f"initial photons: n_a = {na[0]:.3f}, n_b = {nb[0]:.3f}")
 k = np.argmin(np.abs(scaled - 0.25))

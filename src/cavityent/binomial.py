@@ -41,10 +41,11 @@ def _xlogy(x, y):
 def binomial_state(params, t):
     """Amplitudes of exp(-iHt)|N,0> over the basis |N-n, n>, n = 0..N.
 
-    Returns a complex array of length N+1.
+    Returns a complex array of shape shape(t) + (N+1,).
     """
     n_total = params.n_initial
     n = np.arange(n_total + 1)
+    t = np.asarray(t, dtype=float)[..., None]
     phase = np.exp(-1j * n_total * params.omega * t)
     c, s = np.cos(params.lam * t), np.sin(params.lam * t)
     # sign-safe even for negative cos/sin: powers of possibly negative reals
@@ -72,29 +73,30 @@ def covariance_measure_closed(n_total, lam, t):
 def covariance_measure_from_state(amplitudes):
     """Y computed directly from sector amplitudes (must match the closed form).
 
-    Operators that change the total photon number have zero expectation
-    inside the sector: <a>, <b> and <ab> vanish, so cov(a, b) = 0 and
-    cov(a, b^dag) = <a b^dag>.
+    The sector is the last axis of amplitudes.  Operators that change the
+    total photon number have zero expectation inside the sector: <a>, <b>
+    and <ab> vanish, so cov(a, b) = 0 and cov(a, b^dag) = <a b^dag>.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     prob = np.abs(amps) ** 2
-    norm = np.sum(prob)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
-    n_total = len(amps) - 1
+    norm = np.sum(prob, axis=-1)
+    off = np.abs(norm - 1.0) > 1e-9
+    if np.any(off):
+        raise ValueError(f"state not normalized: |psi|^2 = {float(np.extract(off, norm)[0])}")
+    n_total = amps.shape[-1] - 1
     n = np.arange(n_total + 1)
     # a b^dag |N-n, n>  ->  sqrt((N-n)(n+1)) |N-n-1, n+1>
     hop = np.sqrt((n_total - n[:-1]) * (n[:-1] + 1.0))
-    cov_abdag = np.sum(np.conj(amps[1:]) * amps[:-1] * hop)
-    return float(covariance_measure(0.0, cov_abdag, np.sum(prob * (n_total - n)),
-                                    np.sum(prob * n)))
+    cov_abdag = np.sum(np.conj(amps[..., 1:]) * amps[..., :-1] * hop, axis=-1)
+    return covariance_measure(0.0, cov_abdag, np.sum(prob * (n_total - n), axis=-1),
+                              np.sum(prob * n, axis=-1))
 
 
 def reduced_spectrum(params, t):
-    """Eigenvalues p_n of the a-mode reduced density matrix (coefficient of |N-n><N-n|)."""
+    """a-mode reduced density matrix eigenvalues p_n (of |N-n><N-n|), shape(t) + (N+1,)."""
     n_total = params.n_initial
     n = np.arange(n_total + 1)
-    c2 = np.cos(params.lam * t) ** 2
+    c2 = np.cos(params.lam * np.asarray(t, dtype=float)[..., None]) ** 2
     s2 = 1.0 - c2
     log_p = _log_binomial(n_total, n)
     # p_n = C(N,n) cos^(2(N-n)) sin^(2n); handle c2 or s2 = 0 via _xlogy
@@ -104,6 +106,6 @@ def reduced_spectrum(params, t):
 
 
 def entropy(probabilities):
-    """von Neumann entropy in bits, with 0 log 0 = 0; +0.0 for a pure state, not -0.0."""
+    """von Neumann entropy in bits over the last axis, 0 log 0 = 0; +0.0 if pure, not -0.0."""
     p = np.asarray(probabilities, dtype=float)
-    return float(0.0 - np.sum(_xlogy(p, p)) / np.log(2.0))
+    return 0.0 - np.sum(_xlogy(p, p), axis=-1) / np.log(2.0)

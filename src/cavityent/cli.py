@@ -63,8 +63,10 @@ def parse_pairs(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        lam, eps = chunk.split(",")
-        pairs.append((float(lam), float(eps)))
+        values = chunk.split(",")
+        if len(values) != 2:
+            raise argparse.ArgumentTypeError(f"pair {chunk!r} is not of the form lambda,epsilon")
+        pairs.append((float(values[0]), float(values[1])))
     return _nonempty(tuple(pairs))
 
 

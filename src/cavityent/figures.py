@@ -70,7 +70,7 @@ def fig2(omega=1.0, lam=0.1, n_initial=5, t_max_scaled=1.0, points=1001):
     t_scaled = np.linspace(0.0, t_max_scaled, points)
     t = to_physical_time(t_scaled, params)
     y = binomial.covariance_measure_closed(n_initial, lam, t)
-    s = np.array([binomial.entropy(binomial.reduced_spectrum(params, tk)) for tk in t])
+    s = binomial.entropy(binomial.reduced_spectrum(params, t))
     columns = {"scaled_time": t_scaled, "Y": y, "S": s}
     meta = {"omega": omega, "lambda": lam, "n_initial": n_initial,
             "t_max_scaled": t_max_scaled, "points": points}

@@ -174,9 +174,6 @@ class SpectralEvolver:
         block[self._position[h.rows[inside]], self._position[h.cols[inside]]] = h.values[inside]
         self.energies, self.modes = np.linalg.eigh(block)
 
-    def at(self, psi0, t):
-        return self.at_times(psi0, [t])[0]
-
     def _coefficients(self, psi0):
         psi0 = np.asarray(psi0, dtype=complex)
         if np.any(psi0[~self.sector]):
@@ -222,61 +219,59 @@ def _apply(m, v):
 
 
 def _grid(state, basis):
-    return np.asarray(state, dtype=complex).reshape(basis.cutoff_a + 1, basis.cutoff_b + 1)
+    state = np.asarray(state, dtype=complex)
+    return state.reshape(state.shape[:-1] + (basis.cutoff_a + 1, basis.cutoff_b + 1))
 
 
-def _ann_a(psi_grid):
-    out = np.zeros_like(psi_grid)
-    na = np.arange(1.0, psi_grid.shape[0])
-    out[:-1, :] = np.sqrt(na)[:, None] * psi_grid[1:, :]
-    return out
+def _lower(psi_grid, axis):
+    """The annihilator of one mode on each grid of a stack: axis -2 is mode a, -1 mode b."""
+    psi = np.moveaxis(psi_grid, axis, -1)
+    out = np.zeros_like(psi)
+    out[..., :-1] = np.sqrt(np.arange(1.0, psi.shape[-1])) * psi[..., 1:]
+    return np.moveaxis(out, -1, axis)
 
 
-def _ann_b(psi_grid):
-    out = np.zeros_like(psi_grid)
-    nb = np.arange(1.0, psi_grid.shape[1])
-    out[:, :-1] = np.sqrt(nb)[None, :] * psi_grid[:, 1:]
-    return out
-
-
-def _cre_b(psi_grid):
-    out = np.zeros_like(psi_grid)
-    nb = np.arange(1.0, psi_grid.shape[1])
-    out[:, 1:] = np.sqrt(nb)[None, :] * psi_grid[:, :-1]
-    return out
+def _vdot(x, y):
+    """np.vdot of each pair of grids in two stacks, to np.vdot's bits (np.sum has others)."""
+    size = x.shape[-2] * x.shape[-1]
+    row = x.conj().reshape(x.shape[:-2] + (1, size))
+    return (row @ y.reshape(y.shape[:-2] + (size, 1)))[..., 0, 0]
 
 
 def observables(state, basis):
-    """Covariances, mean photon numbers and Y for a normalized state."""
+    """Covariances, mean photon numbers and Y for normalized states (basis on the last axis).
+
+    Each value has the shape of state's leading axes.
+    """
     psi = _grid(state, basis)
-    norm = np.vdot(psi, psi).real
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
-    a_psi = _ann_a(psi)
-    b_psi = _ann_b(psi)
-    mean_a = np.vdot(psi, a_psi)
-    mean_b = np.vdot(psi, b_psi)
-    exp_ab = np.vdot(psi, _ann_a(b_psi))
-    exp_abdag = np.vdot(psi, _ann_a(_cre_b(psi)))
-    mean_na = np.vdot(a_psi, a_psi).real
-    mean_nb = np.vdot(b_psi, b_psi).real
+    norm = _vdot(psi, psi).real
+    off = np.abs(norm - 1.0) > 1e-6
+    if np.any(off):
+        raise ValueError(f"state not normalized: |psi|^2 = {float(np.extract(off, norm)[0])}")
+    a_psi, b_psi = _lower(psi, -2), _lower(psi, -1)
+    mean_a = _vdot(psi, a_psi)
+    mean_b = _vdot(psi, b_psi)
+    exp_ab = _vdot(psi, _lower(b_psi, -2))
+    exp_abdag = _vdot(b_psi, a_psi)  # <a b^dag> = <b psi|a psi>: the two modes commute
+    mean_na = _vdot(a_psi, a_psi).real
+    mean_nb = _vdot(b_psi, b_psi).real
     cov_ab = exp_ab - mean_a * mean_b
     cov_abdag = exp_abdag - mean_a * np.conj(mean_b)
     # photon numbers in the measure carry the bar too: n_bar = <n> - |<a>|^2,
     # which is what makes Y exactly insensitive to a linear drive
-    nbar_a = mean_na - abs(mean_a) ** 2
-    nbar_b = mean_nb - abs(mean_b) ** 2
+    nbar_a = mean_na - np.square(np.abs(mean_a))
+    nbar_b = mean_nb - np.square(np.abs(mean_b))
     return {
         "cov_ab": cov_ab,
         "cov_ab_dagger": cov_abdag,
         "mean_na": mean_na,
         "mean_nb": mean_nb,
-        "Y": float(covariance_measure(cov_ab, cov_abdag, nbar_a, nbar_b)),
+        "Y": covariance_measure(cov_ab, cov_abdag, nbar_a, nbar_b),
     }
 
 
 def reduced_entropy(state, basis):
-    """Entanglement entropy (bits) of the a-mode reduced density matrix."""
+    """Entanglement entropy (bits) of the a-mode reduced density matrix of each state."""
     psi = _grid(state, basis)
     # rho_a = psi psi^dag traced over b; its eigenvalues are the squared
     # singular values of the amplitude grid

@@ -64,9 +64,12 @@ def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):
     positive, NaN where it is NaN.  Where the largest moment passes 2^500,
     all four and h are first divided by 2^k, k its binary exponent: exact,
     and the squares stay finite until a moment itself overflows.  Every
-    route computes Y through this one function.
+    route computes Y through this one function but one:
+    binomial.covariance_measure_closed, the pump-free closed formula that
+    fig1 and fig2 tabulate, is kept as an independent check of it.
     """
-    # asarray: scalars take the array arithmetic, so both agree bit for bit
+    # asarray and np.square: scalars take the array arithmetic, so both agree
+    # bit for bit (a numpy scalar's ** 2 calls libm's pow, at times one ulp off x * x)
     parts = [np.abs(np.asarray(cov_ab_dagger)), np.abs(np.asarray(cov_ab)),
              np.asarray(nbar_a), np.asarray(nbar_b), vacuum_half]
     _, k = np.frexp(np.maximum(np.maximum(parts[0], parts[1]),
@@ -75,7 +78,7 @@ def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):
         scale = np.ldexp(1.0, np.where(k > 500, -k, 0))
         parts = [q * scale for q in parts]
     abs_abd, abs_ab, nbar_a, nbar_b, half = parts
-    num = abs_abd ** 2 + abs_ab ** 2
+    num = np.square(abs_abd) + np.square(abs_ab)
     den = 2.0 * (nbar_a + half) * (nbar_b + half)
     ratio = np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=~(den <= 0))
     return np.sqrt(ratio)

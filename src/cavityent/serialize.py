@@ -22,7 +22,7 @@ def json_text(columns, meta):
         "config": meta,
         "columns": {name: [float(v) for v in values] for name, values in columns.items()},
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_table(columns, meta, out=None, fmt="csv"):
@@ -36,7 +36,7 @@ def write_table(columns, meta, out=None, fmt="csv"):
 
 
 def write_report(report, out=None):
-    _write(json.dumps(report, indent=2) + "\n", out)
+    _write(json.dumps(report, indent=2, allow_nan=False) + "\n", out)
 
 
 def _write(text, out):

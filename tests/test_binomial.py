@@ -144,6 +144,40 @@ class TestReducedSpectrumAndEntropy:
                 assert 0.0 <= s <= math.log2(n + 1) + 1e-12
 
 
+# each batched function as a function of time, on N = 5
+_FIVE = ModelParams(n_initial=5)
+_BATCHED = {
+    "binomial_state": lambda t: bi.binomial_state(_FIVE, t),
+    "reduced_spectrum": lambda t: bi.reduced_spectrum(_FIVE, t),
+    "entropy": lambda t: bi.entropy(bi.reduced_spectrum(_FIVE, t)),
+    "covariance_measure_from_state": lambda t: bi.covariance_measure_from_state(
+        bi.binomial_state(_FIVE, t)),
+}
+# a scalar, an empty grid, a line and a 2-D block of times over one period; the
+# line holds times (index 382 and 882) where a numpy scalar's ** 2 (libm pow) is
+# one ulp off the array square, so Y from the state takes the same arithmetic either way
+_LINE = t_at(np.linspace(0.0, 1.0, 1001))
+_GRIDS = {
+    "scalar": t_at(0.37),
+    "empty": np.array([]),
+    "line": _LINE,
+    "block": _LINE[:1000].reshape(40, 25),
+}
+
+
+class TestBatched:
+    @pytest.mark.parametrize("grid", _GRIDS.values(), ids=_GRIDS)
+    @pytest.mark.parametrize("name", _BATCHED)
+    def test_grid_equals_stacked_calls(self, name, grid):
+        f = _BATCHED[name]
+        one = f(0.0)
+        expected = np.array([f(float(t)) for t in np.ravel(grid)]).reshape(
+            np.shape(grid) + np.shape(one))
+        batched = f(grid)
+        assert np.shape(batched) == expected.shape
+        assert np.array_equal(batched, expected)
+
+
 class TestHelpers:
     @pytest.mark.parametrize("n", [0, 1, 5, 50, 1000])
     def test_log_binomial_is_log_of_exact_comb(self, n):

@@ -84,6 +84,21 @@ class TestParsing:
     def test_pairs(self):
         assert cli.parse_pairs("0.001,0.1; 0.1,0.1") == ((0.001, 0.1), (0.1, 0.1))
 
+    @pytest.mark.parametrize("text, chunk", [
+        ("0.1", "0.1"), ("0.1,0.2,0.3", "0.1,0.2,0.3"), ("0.1,0.1; 0.2", "0.2"),
+    ], ids=["one", "three", "second"])
+    def test_malformed_pair_is_named(self, text, chunk, tmp_path, capsys):
+        message = f"pair {chunk!r} is not of the form lambda,epsilon"
+        code, err = run_cli_usage(["fig3", "--pairs", text], capsys)
+        assert code == 1
+        assert f"--pairs: {message}" in err
+        cfg = tmp_path / "pairs.cfg"
+        cfg.write_text(f"pairs = {text}\n")
+        code, err = run_cli_usage(["fig3", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert f"config key 'pairs': {message}" in err
+        assert "unpack" not in err
+
     def test_floats_and_ints(self):
         assert cli.parse_floats("0.001, 0.05") == (0.001, 0.05)
         assert cli.parse_ints("1,5;10") == (1, 5, 10)
@@ -171,6 +186,14 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             serialize.write_table({"x": [1.0]}, {}, None, "yaml")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_json_is_refused(self, value, capsys):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize.write_report({"max_deviation": value})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize.write_table({"x": [value]}, {}, None, "json")
+        assert capsys.readouterr().out == ""
 
 
 class TestCliEndToEnd:
@@ -323,6 +346,18 @@ class TestCliEndToEnd:
         }
         triple = report["sections"]["pump_free_triple_path"]
         assert triple["entropy_oracle_vs_closed"] < triple["tolerance"]
+
+    def test_oracle_check_refuses_an_overflowing_formula_audit(self, tmp_path, capsys):
+        # at omega = 0.08 the audited epsilon = 0.1 is past the instability (2 epsilon > omega):
+        # its moments overflow, and the run stops instead of writing NaN (a RuntimeWarning
+        # is an error under the suite's filterwarnings)
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(["oracle-check", "--omega", "0.08", "--draws", "3",
+                                "--convergence-tol", "1e30", "--out", str(out)], capsys)
+        assert code == 1
+        assert ("error: the published moment formulas' deviation is not finite at "
+                "lambda = 0.001, epsilon = 0.1, first at scaled time 0.65:") in err
+        assert not out.exists()
 
     def test_oracle_check_gates_the_propagators_the_figures_run(self, monkeypatch, capsys):
         propagators = heisenberg.propagators

@@ -81,7 +81,7 @@ class TestHamiltonian:
 
 
 def _evolve(psi0, h, t):
-    out = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0)).at(psi0, t)
+    out = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0)).at_times(psi0, [t])[0]
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-9, "norm drift during evolution"
     return out
 
@@ -130,7 +130,7 @@ class TestEvolution:
         times = np.array([0.0, 3.0, 17.0])
         batch = ev.at_times(psi0, times)
         for t, row in zip(times, batch):
-            np.testing.assert_allclose(row, ev.at(psi0, t), atol=1e-12)
+            np.testing.assert_allclose(row, ev.at_times(psi0, [t])[0], atol=1e-12)
 
 
 def _shell(basis):
@@ -182,7 +182,7 @@ class TestSectorEvolver:
         ev = fock.SpectralEvolver(h, fock.reachable_sector(h, fock.fock_state(basis, 5, 0)))
         mixed = (fock.fock_state(basis, 5, 0) + fock.fock_state(basis, 4, 0)) / math.sqrt(2.0)
         with pytest.raises(ValueError, match="outside"):
-            ev.at(fock.fock_state(basis, 4, 0), 1.0)
+            ev.at_times(fock.fock_state(basis, 4, 0), [1.0])
         with pytest.raises(ValueError, match="outside"):
             ev.at_times(mixed, [0.0, 1.0])
 
@@ -214,8 +214,12 @@ class TestObservables:
 
     def test_unnormalized_state_rejected(self):
         basis = fock.TruncatedBasis(3, 3)
+        psi = fock.fock_state(basis, 1, 0)
         with pytest.raises(ValueError):
-            fock.observables(2.0 * fock.fock_state(basis, 1, 0), basis)
+            fock.observables(2.0 * psi, basis)
+        # in a stack, the first state off norm is named
+        with pytest.raises(ValueError, match=r"not normalized: \|psi\|\^2 = 4\.0$"):
+            fock.observables(np.stack([psi, 2.0 * psi, 3.0 * psi]), basis)
 
     def test_linear_drive_leaves_measure_invariant(self):
         # the barred second moments subtract the coherent displacement, so a
@@ -250,6 +254,38 @@ class TestEntropy:
         assert s == pytest.approx(bi.entropy(bi.reduced_spectrum(p, t)), abs=1e-10)
         assert s == pytest.approx(2.198, abs=1e-3)
         assert s <= math.log2(N + 1) + 1e-12
+
+
+# each batched function of a stack of states; "entropy" is reduced_entropy
+_STATE_FUNCTIONS = {
+    **{key: lambda states, basis, key=key: fock.observables(states, basis)[key]
+       for key in ("cov_ab", "cov_ab_dagger", "mean_na", "mean_nb", "Y")},
+    "entropy": fock.reduced_entropy,
+}
+# leading axes of the stack: one state, an empty stack, a line and a 2-D block
+_STACKS = {"single": (), "empty": (0,), "line": (6,), "block": (2, 3)}
+
+
+@pytest.fixture(scope="module")
+def driven_states():
+    # pump and drive: every moment, the means included, is nonzero
+    p = ModelParams(1.0, 0.1, 0.05, 2)
+    t_max = to_physical_time(0.5, p)
+    basis, ev = fock.check_convergence(p, t_max, linear_drive=0.05)
+    return basis, ev.at_times(fock.fock_state(basis, 2, 0), np.linspace(0.0, t_max, 6))
+
+
+class TestBatched:
+    @pytest.mark.parametrize("shape", _STACKS.values(), ids=_STACKS)
+    @pytest.mark.parametrize("name", _STATE_FUNCTIONS)
+    def test_stack_equals_stacked_calls(self, name, shape, driven_states):
+        basis, states = driven_states
+        f = _STATE_FUNCTIONS[name]
+        stack = states[:math.prod(shape)].reshape(shape + (basis.dim,))
+        expected = np.array([f(psi, basis) for psi in stack.reshape(-1, basis.dim)])
+        batched = f(stack, basis)
+        assert np.shape(batched) == shape
+        assert np.array_equal(batched, expected.reshape(shape))
 
 
 class TestConvergence:
@@ -400,8 +436,8 @@ class TestAgreementWithTransport:
             t_max = to_physical_time(0.5, p)
             basis, ev = fock.check_convergence(p, t_max, tol=1e-6, ceiling=64)
             psi0 = fock.fock_state(basis, n0, 0)
-            for t in np.linspace(0.0, t_max, 5):
-                obs = fock.observables(ev.at(psi0, t), basis)
-                y_ref = hb.covariance_series(p, t)
-                worst = max(worst, abs(obs["Y"] - y_ref))
+            times = np.linspace(0.0, t_max, 5)
+            obs = fock.observables(ev.at_times(psi0, times), basis)
+            y_ref = hb.covariance_series(p, times)
+            worst = max(worst, np.abs(obs["Y"] - y_ref).max())
         assert worst < 1e-5
