@@ -105,15 +105,18 @@ def closed_form_audit(params, times):
     """Deviation of the published moment formulas from the transport path.
 
     Returns per-quantity maximum absolute deviations over the grid; refused
-    where either side is not finite (heisenberg._finite).
+    where either side is not finite (heisenberg._finite), naming omega as the
+    remedy, since oracle_check fixes each row's epsilon and time grid.
     """
     times = np.asarray(times, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         reference = heisenberg.transported_moment_arrays(params, times)
         audited = moments_closed_form(params, times)
         deviation = [np.abs(a - r) for a, r in zip(audited, reference)]
+    advice = (f"this audit row's epsilon and time grid are fixed, and at omega = {params.omega:g} "
+              "it is past the instability threshold; only a larger --omega helps")
     heisenberg._finite("the published moment formulas' deviation", deviation[0], deviation[1:],
-                       params, times)
+                       params, times, advice)
     keys = ("cov_ab", "cov_ab_dagger", "mean_na", "mean_nb")
     return {k: float(d.max(initial=0.0)) for k, d in zip(keys, deviation)}
 

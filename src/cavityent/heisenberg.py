@@ -1,8 +1,11 @@
 """Pumped Heisenberg-picture dynamics of the operator vector (a, b, a^dag, b^dag).
 
 The linear Heisenberg equations i dv/dt = M v are solved by the 4x4
-propagator S(t) = exp(-i t M).  M has the eigenvalues +-alpha and +-gamma;
-where they are distinct S is Sylvester's form over four fixed matrices,
+propagator S(t) = exp(-i t M) = [[u, v], [v*, u*]], carried as its
+Bogoliubov pair: a(t) = u00 a + u01 b + v00 a^dag + v01 b^dag, b(t) likewise
+over u1k, v1k.  Rows 2-3 are only ever conjugated, since a^dag(t) = a(t)^dag.
+M has the eigenvalues +-alpha and +-gamma; where they are distinct S is
+Sylvester's form over four fixed matrices,
 
     S(t) = cos(alpha t) P1 + cos(gamma t) P2 + sin(alpha t)/alpha P3 + sin(gamma t)/gamma P4,
     P1 = (gamma^2 I - M^2)/4B,    P2 = (M^2 - alpha^2 I)/4B,
@@ -11,20 +14,17 @@ where they are distinct S is Sylvester's form over four fixed matrices,
 with 4B = gamma^2 - alpha^2 and the P built once per epsilon.  For real B
 (every lambda < 2 omega) P1 and P2 are real, P3 and P4 imaginary and the
 four functions real (cosh and sinh/|theta| past the parametric
-instability), so each S_ij is formed as a real and an imaginary part in
-real arithmetic.  A complex B takes complex arithmetic, a degenerate
-spectrum the dense matrix exponential `expm` (Pade 13 with scaling and
-squaring).  `propagators` and the moment kernel share this one entry
-builder.  The quadratic congruence G(t) = S G(0) S^T transports the
-second moments of |N,0> and is the authoritative route to the covariance
-measure; a series that overflows past the parametric instability is
-refused.  The published structure-function formulas for the
-same moments, and the Cayley-Hamilton coefficients they are written in,
-live in `audit`, which checks them and never trusts them.
+instability), so u and v come as real and imaginary parts in real
+arithmetic.  A complex B takes complex arithmetic, a degenerate spectrum
+the dense matrix exponential `expm` (Pade 13 with scaling and squaring).
+`propagators` and the moment kernel share this one row builder.  The
+second moments of |N,0>, short sums over u and v, are the authoritative
+route to Y; a series that overflows past the instability is refused.  The
+published structure-function formulas for the same moments, and the
+Cayley-Hamilton coefficients, live in `audit`, which never trusts them.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -136,13 +136,13 @@ def _cos_sinc(q, t):
     return c, s / r
 
 
-def _entries(params, t):
-    """(entry, shape): entry(i, j) is (Re S_ij, Im S_ij) of S(t) = exp(-i t M), built once.
+def _rows(params, t):
+    """(re, im, shape): rows [u v] of S(t) = exp(-i t M), re and im (2, 4) + grid.
 
-    Both are shaped like broadcast(epsilon, t), but with one axis of length
-    1 when that shape is (): numpy's scalar ufuncs may round differently from
-    its array loops, and a scalar t must give the bits of the same t on a
-    grid.  A single degenerate epsilon sends the whole batch to one stacked
+    grid is shape = broadcast(epsilon, t), but with one axis of length 1 when
+    that shape is (): numpy's scalar ufuncs may round differently from its
+    array loops, and a scalar t must give the bits of the same t on a grid.
+    A single degenerate epsilon sends the whole batch to one stacked
     dense-expm call, a single complex B the batch to complex arithmetic.
     """
     t = np.asarray(t, dtype=float)
@@ -152,41 +152,37 @@ def _entries(params, t):
     m = build_matrix(params)
     sd = spectral(params)
     if _degenerate(sd):
-        s = expm(-1j * t[..., None, None] * m)
-        return (lambda i, j: (s[..., i, j].real, s[..., i, j].imag)), shape
+        s = np.moveaxis(expm(-1j * t[..., None, None] * m)[..., :2, :], (-2, -1), (0, 1))
+        return s.real, s.imag, shape
     real = not np.any(sd.B.imag)
     b = sd.B.real if real else sd.B
     al2, ga2 = sd.A - 2.0 * b, sd.A + 2.0 * b
     (ca, sa), (cg, sg) = _cos_sinc(al2, t), _cos_sinc(ga2, t)
-    al2, ga2, four_b = (np.asarray(q)[..., None, None] for q in (al2, ga2, 4.0 * b))
+
+    def top(x):  # rows 0-1 of a 4x4 stack as (2, 4) + epsilon's axes, aligned with the grid's
+        x = np.moveaxis(x[..., :2, :], (-2, -1), (0, 1))
+        return x.reshape((2, 4) + (1,) * (np.ndim(ca) + 2 - x.ndim) + x.shape[2:])
+
     m2 = m @ m
-    m3 = m2 @ m
-    p1, p2 = (ga2 * np.eye(4) - m2) / four_b, (m2 - al2 * np.eye(4)) / four_b
-    p3, p4 = (m3 - ga2 * m) / four_b, (al2 * m - m3) / four_b  # P3/i and P4/i
-
-    def entry(i, j):
-        cos_part = ca * p1[..., i, j]
-        cos_part += cg * p2[..., i, j]
-        sin_part = sa * p3[..., i, j]
-        sin_part += sg * p4[..., i, j]
-        if real:
-            return cos_part, sin_part
-        return cos_part.real - sin_part.imag, cos_part.imag + sin_part.real
-
-    return cache(entry), shape
-
-
-def _complex(re, im):
-    z = np.array(re, dtype=complex)
-    z.imag = im
-    return z
+    i, m1, m2, m3 = (top(x) for x in (np.eye(4), m, m2, m2 @ m))
+    four_b = 4.0 * b
+    cos_part = ca * ((ga2 * i - m2) / four_b)        # cos(alpha t) P1
+    cos_part += cg * ((m2 - al2 * i) / four_b)       # cos(gamma t) P2
+    sin_part = sa * ((m3 - ga2 * m1) / four_b)       # sin(alpha t)/alpha P3/i
+    sin_part += sg * ((al2 * m1 - m3) / four_b)      # sin(gamma t)/gamma P4/i
+    if real:
+        return cos_part, sin_part, shape
+    return cos_part.real - sin_part.imag, cos_part.imag + sin_part.real, shape
 
 
 def propagators(params, t):
-    """S(t) = exp(-i t M) for scalar or array t and epsilon; shape broadcast(epsilon, t) + (4, 4)."""
-    entry, shape = _entries(params, t)
-    re, im = np.moveaxis([[entry(i, j) for j in range(4)] for i in range(4)], (0, 1), (-2, -1))
-    return _complex(re, im).reshape(shape + (4, 4))
+    """S(t) = [[u, v], [v*, u*]] at scalar or array t, epsilon; broadcast(epsilon, t) + (4, 4)."""
+    re, im, shape = _rows(params, t)
+    s = np.empty(re.shape[2:] + (4, 4), dtype=complex)
+    s.real[..., :2, :] = np.moveaxis(re, (0, 1), (-2, -1))
+    s.imag[..., :2, :] = np.moveaxis(im, (0, 1), (-2, -1))
+    s[..., 2:, :] = np.roll(s[..., :2, :], 2, axis=-1).conj()
+    return s.reshape(shape + (4, 4))
 
 
 def initial_moments(n_initial):
@@ -201,35 +197,35 @@ def initial_moments(n_initial):
 def transported_moment_arrays(params, t):
     """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> at a scalar or array t.
 
-    Second moments are carried by the congruence G(t) = S G(0) S^T, taken
-    only at the four entries read here: over the three nonzeros of G(0)
-    (see initial_moments) each is G_ij = (N+1) S_i0 S_j2 + S_i1 S_j3 + N S_i2 S_j0,
-    summed in real arithmetic (numpy's SIMD complex multiply fuses
-    multiply-adds on some hosts) over the fourteen entries of S it reads.
+    The entries of G(t) = S G(0) S^T that Y reads, as sums over u and v:
+
+        <a^dag a> = (N+1) |v00|^2 + |v01|^2 + N |u00|^2,  <b^dag b> likewise over row 1,
+        <ab>      = (N+1) u00 v10 + u01 v11 + N v00 u10,
+        <ab^dag>  = (N+1) u00 u10* + u01 u11* + N v00 v10*,
+
+    in real arithmetic (numpy's SIMD complex multiply fuses multiply-adds on
+    some hosts); the photon numbers, sums of squares, are never negative.
     First moments of |N,0> vanish and stay zero under the homogeneous
     equations, so covariances equal raw second moments.
     """
-    s, shape = _entries(params, t)
-    g0 = initial_moments(params.n_initial)
-    terms = [(k, l, g0[k, l].real) for k, l in zip(*np.nonzero(g0))]
+    re, im, shape = _rows(params, t)
+    n = params.n_initial
+    # the entries of a(t)'s and b(t)'s rows, each as its (re, im) pair
+    (u00, u01, v00, _), (u10, u11, v10, v11) = (list(zip(r, i)) for r, i in zip(re, im))
 
-    def g(i, j, imag):  # G_ij, or only its real part
-        re = im = 0.0
-        for k, l, value in terms:
-            (xr, xi), (yr, yi) = s(i, k), s(j, l)
-            part = xr * yr
-            part -= xi * yi
-            part *= value
-            re += part
-            if imag:
-                part = xr * yi
-                part += xi * yr
-                part *= value
-                im += part
-        return _complex(re, im) if imag else re
+    def paper_sum(x0, x1, x2):
+        return (n + 1.0) * x0 + x1 + n * x2
 
-    moments = g(0, 1, True), g(0, 3, True), g(2, 0, False), g(3, 1, False)
-    return tuple(q.reshape(shape) for q in moments)
+    cov = np.empty((2,) + re.shape[2:], dtype=complex)
+    pairs = (u00, v10), (u01, v11), (v00, u10)  # <ab>
+    cov.real[0] = paper_sum(*(x[0] * y[0] - x[1] * y[1] for x, y in pairs))
+    cov.imag[0] = paper_sum(*(x[0] * y[1] + x[1] * y[0] for x, y in pairs))
+    pairs = (u00, u10), (u01, u11), (v00, v10)  # <ab^dag>, against conj(y)
+    cov.real[1] = paper_sum(*(x[0] * y[0] + x[1] * y[1] for x, y in pairs))
+    cov.imag[1] = paper_sum(*(x[1] * y[0] - x[0] * y[1] for x, y in pairs))
+    # <a^dag a> and <b^dag b> together, over rows 0 and 1
+    mean_n = paper_sum(*(re[:, k] * re[:, k] + im[:, k] * im[:, k] for k in (2, 3, 0)))
+    return tuple(q.reshape(shape) for q in (*cov, *mean_n))
 
 
 def moments_of(g):
@@ -255,7 +251,7 @@ def photon_ratio_series(params, t):
         return _finite("the photon ratio", np.abs(na - nb) / total, (total,), params, t)
 
 
-def _finite(name, result, parts, params, t):
+def _finite(name, result, parts, params, t, advice="lower epsilon or end the time grid earlier"):
     """result, or a ValueError naming the first point where it or one of parts is not finite."""
     bad = ~np.logical_and.reduce([np.isfinite(q) for q in (result, *parts)])
     if not bad.any():
@@ -264,4 +260,4 @@ def _finite(name, result, parts, params, t):
     eps, t_first = (np.broadcast_to(v, bad.shape).flat[k] for v in (params.epsilon, t))
     raise ValueError(f"{name} is not finite at lambda = {params.lam:g}, epsilon = {eps:g}, "
                      f"first at scaled time {to_scaled_time(t_first, params):g}: the second "
-                     "moments overflow; lower epsilon or end the time grid earlier")
+                     f"moments overflow; {advice}")

@@ -359,6 +359,17 @@ class TestCliEndToEnd:
                 "lambda = 0.001, epsilon = 0.1, first at scaled time 0.65:") in err
         assert not out.exists()
 
+    def test_overflowing_formula_audit_names_omega_as_the_remedy(self, capsys):
+        # oracle-check fixes the audit rows' epsilon and time grid, so the
+        # general advice to lower epsilon or end the grid earlier cannot be followed
+        code, _, err = run_cli(["oracle-check", "--omega", "0.08", "--draws", "3",
+                                "--convergence-tol", "1e30"], capsys)
+        assert code == 1
+        assert ("the second moments overflow; this audit row's epsilon and time grid are "
+                "fixed, and at omega = 0.08 it is past the instability threshold; only a "
+                "larger --omega helps") in err
+        assert "lower epsilon" not in err
+
     def test_oracle_check_gates_the_propagators_the_figures_run(self, monkeypatch, capsys):
         propagators = heisenberg.propagators
         monkeypatch.setattr(heisenberg, "propagators",

@@ -18,6 +18,13 @@ def rel_err(a, b):
     return np.abs(a - b).max() / scale
 
 
+def assert_rows_of_expm(s, dense):
+    # the dense path takes rows 0-1 of expm bit for bit, and rows 2-3 are
+    # their conjugate with the column halves swapped, also bit for bit
+    np.testing.assert_array_equal(s[:2], dense[:2])
+    np.testing.assert_array_equal(s[2:], np.conj(np.roll(dense[:2], 2, axis=-1)))
+
+
 class TestCoefficientMatrix:
     def test_printed_entries(self):
         m = hb.build_matrix(ModelParams(1.0, 0.1, 0.1, 5))
@@ -172,11 +179,20 @@ class TestPropagator:
             assert rel_err(hb.propagators(p, t2) @ hb.propagators(p, t1), s12) < 1e-9
 
     def test_conjugation_structure(self):
-        p = ModelParams(1.0, 0.07, 0.21, 5)
-        s = hb.propagators(p, 11.0)
-        # rows for (a^dag, b^dag) mirror rows for (a, b) with the block swap
-        swap = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-        np.testing.assert_allclose(s[2:, :], np.conj(swap @ s @ swap)[2:, :], atol=1e-12)
+        # a^dag(t) = a(t)^dag: rows for (a^dag, b^dag) are the conjugate of the
+        # rows for (a, b) with the column halves swapped, [v* u*], exactly
+        cells = [
+            (ModelParams(1.0, 0.07, 0.21, 5), 11.0),                        # stable
+            (ModelParams(1.0, 0.1, 0.6, 5), np.linspace(0.0, 40.0, 9)),     # unstable
+            (ModelParams(1.0, 3.0, 2.0, 5), np.array([0.0, 0.4, 3.0])),     # complex B
+            (ModelParams(1.0, 0.1, 0.495, 5), np.array([0.0, 2.0, 30.0])),  # dense threshold
+            (ModelParams(1.0, 1e-3, 0.3, 5), 4000.0),                       # lambda = 1e-3
+            (ModelParams(1.0, 0.05, np.array([[0.0], [0.1], [0.3], [0.6]]), 5),
+             np.array([0.0, 3.0, 40.0])),                                   # epsilon batch
+        ]
+        for p, t in cells:
+            s = hb.propagators(p, t)
+            assert np.array_equal(s[..., 2:, :], np.conj(np.roll(s[..., :2, :], 2, axis=-1))), p
 
     def test_degenerate_fallback_is_total(self):
         # lambda = 0 (and epsilon = 0) collapses the spectrum; dense path takes over
@@ -223,13 +239,13 @@ class TestPropagator:
         assert stack.shape == eps.shape + (4, 4)
         m = hb.build_matrix(p)
         for idx in np.ndindex(eps.shape):
-            assert np.array_equal(stack[idx], hb.expm(-1j * 2.0 * m[idx]))
+            assert_rows_of_expm(stack[idx], hb.expm(-1j * 2.0 * m[idx]))
 
     def test_gamma_zero_goes_to_expm(self):
         # lambda > omega: at omega = 1, lambda = 3, epsilon = 4, A + 2B = -22 + 22 = 0
         p = ModelParams(1.0, 3.0, 4.0, 5)
         assert hb.spectral(p).gamma == 0.0
-        np.testing.assert_array_equal(hb.propagators(p, 0.3), hb.expm(-0.3j * hb.build_matrix(p)))
+        assert_rows_of_expm(hb.propagators(p, 0.3), hb.expm(-0.3j * hb.build_matrix(p)))
 
     def test_degenerate_fallback_keeps_time_shape(self):
         p = ModelParams(1.0, 0.0, 0.0, 3)

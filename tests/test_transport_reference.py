@@ -139,6 +139,21 @@ def test_sample_errors_within_bounds(sample_errors, regime, name):
     assert err <= BOUNDS[regime][name], f"{name} {regime}: {err:.3g}"
 
 
+def test_invariants_hold_in_every_regime():
+    # S Sigma S^dag = Sigma relative to ||S||^2, photon numbers >= 0 exactly
+    # (sums of squares) and Y >= 0, on every cell of the sample
+    sigma = np.diag([1.0, 1.0, -1.0, -1.0])
+    for _, p, times in _sample():
+        grid = np.concatenate([times, np.linspace(0.0, _t_max(p), 41)])
+        s = hb.propagators(p, grid)
+        drift = np.abs(s @ sigma @ np.conj(np.swapaxes(s, -1, -2)) - sigma).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(s).max(axis=(-2, -1)) ** 2)
+        assert (drift / scale).max() < 1e-9, p
+        _, _, na, nb = hb.transported_moment_arrays(p, grid)
+        assert na.min() >= 0.0 and nb.min() >= 0.0, p
+        assert hb.covariance_series(p, grid).min() >= 0.0, p
+
+
 @st.composite
 def _points(draw):
     """A point away from the extremes the fixed sample holds: lambda >= 0.01, at most
