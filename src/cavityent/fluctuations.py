@@ -16,16 +16,17 @@ ensemble-mean Y rather than pointwise: Y crosses zero periodically, and
 a pointwise std/mean is O(1) at the crossings for arbitrarily small
 pump noise, which would make the spread diagnostic meaningless.
 
-All trials of an ensemble are propagated together: their schedules are
-stacked into one (n_trials, n_segments) array, and each segment takes one
-propagator call for every trial at once.  Long runs at small lambda can
-enter the parametrically unstable regime inside individual segments, so
-each trial's second-moment matrix is carried with its own extracted scale
-factor to keep everything inside double-precision range; the covariance
-measure only needs moment ratios plus a scaled vacuum term.  The rescale
-acts between segments, so a run in which one segment's growth alone leaves
-that range is refused with a ValueError naming the segment, not written
-out as nan.
+All trials of an ensemble are propagated together.  A product of
+propagators has their form [[u, v], [v*, u*]], so each trial carries the
+Bogoliubov pair (u, v) of its product so far, one `heisenberg.compose` per
+segment for all trials at once, and Y comes from the same sums over u and
+v as on the transport route.  Past the instability the pair grows: a
+trial's pair is divided by its peak when that passes RESCALE_THRESHOLD,
+and the moments, quadratic in it, keep the square of the factor in a log
+scale that only Y's vacuum term needs.  The rescale acts between
+segments, so a run in which one segment grows the pair by more than about
+1e258, out of double range, is refused with a ValueError naming the
+segment, not written out as nan.
 """
 
 import math
@@ -38,7 +39,7 @@ from numpy.random import SeedSequence, default_rng
 from . import heisenberg
 from .params import covariance_measure, to_physical_time
 
-RESCALE_THRESHOLD = 1e100
+RESCALE_THRESHOLD = 1e50  # on the pair, so on the moments 1e100
 
 
 @dataclass(frozen=True)
@@ -83,33 +84,29 @@ def propagate_piecewise(params, schedule):
     """Y at every segment boundary under the piecewise-constant pump.
 
     Returns (t_scaled, y); y has one row per trial of a batched schedule,
-    each of length n_segments + 1.  Moments are transported segment by
-    segment through exp(-i dt M(eps_k)), all trials in one propagator call,
-    and each trial is rescaled on its own when its moments grow large
-    (unstable excursions).  Raises ValueError when the moments stop being
-    finite within one segment; more segments shorten each step.
+    each of length n_segments + 1.  Raises ValueError when a trial's pair
+    stops being finite within one segment; more segments shorten each step.
     """
     batch = schedule.values.shape[:-1]
     dt = schedule.segment_duration(params)
-    g = np.broadcast_to(heisenberg.initial_moments(params.n_initial), batch + (4, 4))
+    pair = np.eye(2, 4)  # rows [u v] of S(0) = I; compose broadcasts it over the trials
     log_scale = np.zeros(batch)
     y = np.empty(batch + (schedule.n_segments + 1,))
-    y[..., 0] = covariance_measure(*heisenberg.moments_of(g))
+    y[..., 0] = covariance_measure(*heisenberg.pair_moments(pair, params.n_initial))
     for k in range(schedule.n_segments):
         with np.errstate(over="ignore", invalid="ignore"):
-            s = heisenberg.propagators(replace(params, epsilon=schedule.values[..., k]), dt)
-            g = s @ g @ np.swapaxes(s, -1, -2)
-        if not np.isfinite(g).all():
+            pair = heisenberg.compose(replace(params, epsilon=schedule.values[..., k]), dt, pair)
+        if not np.isfinite(pair).all():
             raise ValueError(
                 f"second moments overflow within pump segment {k + 1} of "
                 f"{schedule.n_segments} at lambda = {params.lam:g}; use more segments"
             )
-        peak = np.abs(g).max(axis=(-2, -1))
+        peak = np.abs(pair).max(axis=(0, 1))
         grown = peak > RESCALE_THRESHOLD
-        g = np.where(grown[..., None, None], g / peak[..., None, None], g)
-        log_scale += np.where(grown, np.log(peak), 0.0)
+        pair = np.where(grown, pair / peak, pair)
+        log_scale += np.where(grown, 2.0 * np.log(peak), 0.0)  # moments are quadratic in it
         half = np.where(log_scale < 700.0, 0.5 * np.exp(-log_scale), 0.0)
-        y[..., k + 1] = covariance_measure(*heisenberg.moments_of(g), half)
+        y[..., k + 1] = covariance_measure(*heisenberg.pair_moments(pair, params.n_initial), half)
     t_scaled = np.linspace(0.0, schedule.total_scaled_time, schedule.n_segments + 1)
     return t_scaled, y
 

@@ -17,7 +17,8 @@ four functions real (cosh and sinh/|theta| past the parametric
 instability), so u and v come as real and imaginary parts in real
 arithmetic.  A complex B takes complex arithmetic, a degenerate spectrum
 the dense matrix exponential `expm` (Pade 13 with scaling and squaring).
-`propagators` and the moment kernel share this one row builder.  The
+`propagators`, `compose` (the pair of S(t) P for a product P of them, which
+has the same form) and the moment kernel share this one row builder.  The
 second moments of |N,0>, short sums over u and v, are the authoritative
 route to Y; a series that overflows past the instability is refused.  The
 published structure-function formulas for the same moments, and the
@@ -175,29 +176,36 @@ def _rows(params, t):
     return cos_part.real - sin_part.imag, cos_part.imag + sin_part.real, shape
 
 
+def _complete(pair):
+    """S = [[u, v], [v*, u*]] from its rows [u v]: (2, 4) + grid -> (4, 4) + grid."""
+    return np.concatenate([pair, np.roll(pair, 2, axis=1).conj()])
+
+
 def propagators(params, t):
     """S(t) = [[u, v], [v*, u*]] at scalar or array t, epsilon; broadcast(epsilon, t) + (4, 4)."""
     re, im, shape = _rows(params, t)
-    s = np.empty(re.shape[2:] + (4, 4), dtype=complex)
-    s.real[..., :2, :] = np.moveaxis(re, (0, 1), (-2, -1))
-    s.imag[..., :2, :] = np.moveaxis(im, (0, 1), (-2, -1))
-    s[..., 2:, :] = np.roll(s[..., :2, :], 2, axis=-1).conj()
-    return s.reshape(shape + (4, 4))
+    return np.moveaxis(_complete(re + 1j * im), (0, 1), (-2, -1)).reshape(shape + (4, 4))
 
 
-def initial_moments(n_initial):
-    """Second-moment matrix <v_i v_j> of |N,0> over v = (a, b, a^dag, b^dag)."""
-    g = np.zeros((4, 4), dtype=complex)
-    g[0, 2] = n_initial + 1.0   # <a a^dag>
-    g[1, 3] = 1.0               # <b b^dag>
-    g[2, 0] = float(n_initial)  # <a^dag a>
-    return g
+def compose(params, t, pair):
+    """Rows [u v] of S(t) P, P = [[u, v], [v*, u*]] given by its rows `pair` (2, 4) + grid."""
+    re, im, shape = _rows(params, t)
+    return np.einsum("ik...,kj...->ij...", re + 1j * im, _complete(pair)).reshape((2, 4) + shape)
 
 
 def transported_moment_arrays(params, t):
-    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> at a scalar or array t.
+    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> at a scalar or array t (_paper_sums)."""
+    re, im, shape = _rows(params, t)
+    return tuple(q.reshape(shape) for q in _paper_sums(re, im, params.n_initial))
 
-    The entries of G(t) = S G(0) S^T that Y reads, as sums over u and v:
+
+def pair_moments(pair, n_initial):
+    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> under S with rows `pair` (compose)."""
+    return _paper_sums(pair.real, pair.imag, n_initial)
+
+
+def _paper_sums(re, im, n):
+    """The entries of G = S G(0) S^T that Y reads, from rows [u v] of S as re, im (2, 4) + grid:
 
         <a^dag a> = (N+1) |v00|^2 + |v01|^2 + N |u00|^2,  <b^dag b> likewise over row 1,
         <ab>      = (N+1) u00 v10 + u01 v11 + N v00 u10,
@@ -208,8 +216,6 @@ def transported_moment_arrays(params, t):
     First moments of |N,0> vanish and stay zero under the homogeneous
     equations, so covariances equal raw second moments.
     """
-    re, im, shape = _rows(params, t)
-    n = params.n_initial
     # the entries of a(t)'s and b(t)'s rows, each as its (re, im) pair
     (u00, u01, v00, _), (u10, u11, v10, v11) = (list(zip(r, i)) for r, i in zip(re, im))
 
@@ -225,13 +231,7 @@ def transported_moment_arrays(params, t):
     cov.imag[1] = paper_sum(*(x[1] * y[0] - x[0] * y[1] for x, y in pairs))
     # <a^dag a> and <b^dag b> together, over rows 0 and 1
     mean_n = paper_sum(*(re[:, k] * re[:, k] + im[:, k] * im[:, k] for k in (2, 3, 0)))
-    return tuple(q.reshape(shape) for q in (*cov, *mean_n))
-
-
-def moments_of(g):
-    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) read off G = <v_i v_j>, any leading axes."""
-    # <ab>, <ab^dag>, <a^dag a>, <b^dag b> over v = (a, b, a^dag, b^dag)
-    return g[..., 0, 1], g[..., 0, 3], g[..., 2, 0].real, g[..., 3, 1].real
+    return (*cov, *mean_n)
 
 
 def covariance_series(params, t):

@@ -280,7 +280,7 @@ class TestCliEndToEnd:
     def test_overflowing_noise_run_is_refused(self, tmp_path, capsys):
         out = tmp_path / "fig6.csv"
         code, _, err = run_cli(["fig6", "--lambdas", "0.001", "--mean-epsilon", "0.6",
-                                "--t-max-scaled", "10", "--trials", "5", "--seed", "3",
+                                "--t-max-scaled", "20", "--trials", "5", "--seed", "3",
                                 "--out", str(out)], capsys)
         assert code == 1
         assert "second moments overflow within pump segment 10 of 100" in err

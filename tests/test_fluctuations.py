@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cavityent import fluctuations as fl
 from cavityent import heisenberg as hb
-from cavityent.params import ModelParams, to_physical_time
+from cavityent.params import ModelParams, covariance_measure, to_physical_time
 
 # symplectic form of (a, b, a^dag, b^dag): S SIGMA S^dag = SIGMA for every propagator
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -100,6 +101,21 @@ class TestPropagatePiecewise:
         drift = np.abs(s_total @ SIGMA @ s_total.conj().T - SIGMA).max()
         assert drift / max(1.0, np.abs(s_total).max() ** 2) < 1e-8
 
+    def test_carried_pair_stays_symplectic(self):
+        # the rows [u v] the ensemble carries, composed over 100 segments:
+        # u u^dag - v v^dag = I and u v^T - v u^T = 0 (S SIGMA S^dag = SIGMA
+        # and the commutators [a, b] = 0 of the evolved fields)
+        p = ModelParams(1.0, 0.05, 0.0, 5)
+        sched = fl.sample_schedule(0.1, n_segments=100, seed=3)
+        dt = sched.segment_duration(p)
+        pair = np.eye(2, 4)
+        for eps_k in sched.values:
+            pair = hb.compose(replace(p, epsilon=eps_k), dt, pair)
+        u, v = pair[:, :2], pair[:, 2:]
+        scale = max(1.0, np.abs(pair).max() ** 2)
+        assert np.abs(u @ u.conj().T - v @ v.conj().T - np.eye(2)).max() / scale < 1e-8
+        assert np.abs(u @ v.T - v @ u.T).max() / scale < 1e-8
+
     def test_y_bounded(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
         sched = fl.sample_schedule(0.3, seed=5)
@@ -116,17 +132,68 @@ class TestPropagatePiecewise:
         assert y.max() <= 1.0 + 1e-12
 
     def test_overflow_within_one_segment_is_refused(self):
-        # lambda = 0.001, mean pump 0.6 over ten scaled time units in 100
+        # lambda = 0.001, mean pump 0.6 over twenty scaled time units in 100
         # segments: one segment's growth alone leaves double range, before
         # the rescale between segments can act
-        p = ModelParams(1.0, 0.001, 0.6, 5)
-        sched = _stacked([fl.sample_schedule(0.6, 100, 10.0, seed=fl.trial_seed(3, k))
-                          for k in range(5)])
+        sched = _overflow_schedule(20.0)
         with pytest.raises(ValueError, match=r"segment 10 of 100 at lambda = 0\.001; "
                                              r"use more segments"):
-            fl.propagate_piecewise(p, sched)
+            fl.propagate_piecewise(_OVERFLOW_PARAMS, sched)
         finer = replace(sched, values=np.repeat(sched.values, 4, axis=1))
-        assert np.all(np.isfinite(fl.propagate_piecewise(p, finer)[1]))
+        assert np.all(np.isfinite(fl.propagate_piecewise(_OVERFLOW_PARAMS, finer)[1]))
+
+    def test_long_unstable_run_equals_a_finer_schedule(self):
+        # over ten scaled time units the pair, the square root of the moments,
+        # stays in double range where the moments would leave it in segment 10
+        sched = _overflow_schedule(10.0)
+        _, y = fl.propagate_piecewise(_OVERFLOW_PARAMS, sched)
+        finer = replace(sched, values=np.repeat(sched.values, 4, axis=1))
+        _, y_finer = fl.propagate_piecewise(_OVERFLOW_PARAMS, finer)
+        assert np.abs(y - y_finer[:, ::4]).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam, mean", [(0.05, 0.3), (0.001, 0.6)], ids=["stable", "rescaled"])
+    def test_matches_dense_congruence_per_segment(self, lam, mean):
+        # the rescaled batch's worst gap, 6.6e-13, is scipy's expm on unstable
+        # segments: on trial 2 the carried pair meets a 40-digit expm to 2.2e-16
+        p = ModelParams(1.0, lam, 0.0, 5)
+        sched = _stacked([fl.sample_schedule(mean, seed=fl.trial_seed(3, k)) for k in range(5)])
+        _, y = fl.propagate_piecewise(p, sched)
+        reference, rescaled = zip(*(_congruence_y(p, row, sched.segment_duration(p))
+                                    for row in sched.values))
+        assert any(rescaled) == (mean == 0.6)
+        assert np.abs(y - np.array(reference)).max() <= 1e-12
+
+
+_OVERFLOW_PARAMS = ModelParams(1.0, 0.001, 0.6, 5)
+
+
+def _overflow_schedule(total_scaled_time):
+    return _stacked([fl.sample_schedule(0.6, 100, total_scaled_time, seed=fl.trial_seed(3, k))
+                     for k in range(5)])
+
+
+def _initial_moments(n):
+    # <v_i v_j> of |N,0> over v = (a, b, a^dag, b^dag)
+    g = np.zeros((4, 4), dtype=complex)
+    g[0, 2], g[1, 3], g[2, 0] = n + 1.0, 1.0, n  # <a a^dag>, <b b^dag>, <a^dag a>
+    return g
+
+
+def _congruence_y(p, values, dt):
+    # Y at each boundary from a dense expm per segment and G -> S G S^T,
+    # G divided by its peak where that passes 1e100; returns (Y, whether G
+    # was rescaled).  Y(0) = 0: |N,0> is a product state
+    g, log_scale = _initial_moments(p.n_initial), 0.0
+    y = [0.0]
+    for eps_k in values:
+        s = expm(-1j * dt * hb.build_matrix(replace(p, epsilon=eps_k)))
+        g = s @ g @ s.T
+        peak = np.abs(g).max()
+        if peak > 1e100:
+            g, log_scale = g / peak, log_scale + np.log(peak)
+        y.append(covariance_measure(g[0, 1], g[0, 3], g[2, 0].real, g[3, 1].real,
+                                    0.5 * np.exp(-log_scale)))
+    return y, log_scale > 0.0
 
 
 def _stacked(schedules):
@@ -157,15 +224,15 @@ class TestBatchedPropagation:
         _, y_stable = fl.propagate_piecewise(p, stable)
         assert np.array_equal(y_batch[0], y_unstable)
         assert np.array_equal(y_batch[1], y_stable)
-        # the unstable row's moments do pass the rescale threshold
+        # the unstable row's moments do pass the rescale threshold, the square of the pair's
         dt = unstable.segment_duration(p)
-        g, log_peak = hb.initial_moments(5), 0.0
+        g, log_peak = _initial_moments(5), 0.0
         for eps_k in unstable.values:
             s = hb.propagators(replace(p, epsilon=eps_k), dt)
             g = s @ g @ s.T
             log_peak += np.log(np.abs(g).max())
             g /= np.abs(g).max()
-        assert log_peak > np.log(fl.RESCALE_THRESHOLD)
+        assert log_peak > np.log(fl.RESCALE_THRESHOLD ** 2)
 
     def test_ensemble_trials_equal_per_trial_runs(self):
         p = ModelParams(1.0, 0.05, 0.3, 5)

@@ -311,13 +311,6 @@ class TestMoments:
         _, _, na, nb = hb.transported_moment_arrays(p, np.linspace(0, 60, 121))
         assert na.min() > -1e-9 and nb.min() > -1e-9
 
-    def test_moments_of_reads_initial_entries(self):
-        g = hb.initial_moments(5)
-        assert hb.moments_of(g) == (0j, 0j, 5.0, 0.0)
-        stack = hb.moments_of(np.stack([g, 2.0 * g]))
-        assert [np.shape(q) for q in stack] == [(2,)] * 4
-        assert stack[2].tolist() == [5.0, 10.0]
-
     def test_covariance_measure_zero_for_product_moments(self):
         assert covariance_measure(0j, 0j, 5.0, 0.0) == 0.0
 
@@ -328,10 +321,13 @@ class TestMoments:
 
 
 def _full_congruence_moments(p, t):
-    # every entry of S G(0) S^T, then the four that Y reads
+    # every entry of S G(0) S^T, G(0) = <v_i v_j> of |N,0> over v = (a, b, a^dag, b^dag),
+    # then the four that Y reads: <ab>, <ab^dag>, <a^dag a>, <b^dag b>
+    g0 = np.zeros((4, 4), dtype=complex)
+    g0[0, 2], g0[1, 3], g0[2, 0] = p.n_initial + 1.0, 1.0, p.n_initial
     s = hb.propagators(p, t)
-    g = np.einsum("...ik,kl,...jl->...ij", s, hb.initial_moments(p.n_initial), s)
-    return hb.moments_of(g)
+    g = np.einsum("...ik,kl,...jl->...ij", s, g0, s)
+    return g[..., 0, 1], g[..., 0, 3], g[..., 2, 0].real, g[..., 3, 1].real
 
 
 class TestMomentKernel:
