@@ -18,15 +18,15 @@ pump noise, which would make the spread diagnostic meaningless.
 
 All trials of an ensemble are propagated together.  A product of
 propagators has their form [[u, v], [v*, u*]], so each trial carries the
-Bogoliubov pair (u, v) of its product so far, one `heisenberg.compose` per
-segment for all trials at once, and Y comes from the same sums over u and
-v as on the transport route.  Past the instability the pair grows: a
-trial's pair is divided by its peak when that passes RESCALE_THRESHOLD,
-and the moments, quadratic in it, keep the square of the factor in a log
-scale that only Y's vacuum term needs.  The rescale acts between
-segments, so a run in which one segment grows the pair by more than about
-1e258, out of double range, is refused with a ValueError naming the
-segment, not written out as nan.
+Bogoliubov pair (u, v) of its product so far: one `heisenberg._rows` call
+builds the rows of a block of segments, one `heisenberg.compose` per
+segment steps all trials, and Y, read once per block, comes from the same
+sums over u and v as on the transport route.  Past the instability the
+pair grows: a trial's pair is divided by its peak when that passes
+RESCALE_THRESHOLD, and the moments, quadratic in it, keep the square of
+the factor in a log scale that only Y's vacuum term needs.  The rescale
+acts between segments, so a run in which one segment grows the pair by
+more than about 1e258, out of double range, is refused naming the segment.
 """
 
 import math
@@ -40,6 +40,7 @@ from . import heisenberg
 from .params import covariance_measure, to_physical_time
 
 RESCALE_THRESHOLD = 1e50  # on the pair, so on the moments 1e100
+BLOCK_CELLS = 4096  # (segment, trial) cells whose propagators one _rows call builds
 
 
 @dataclass(frozen=True)
@@ -84,29 +85,40 @@ def propagate_piecewise(params, schedule):
     """Y at every segment boundary under the piecewise-constant pump.
 
     Returns (t_scaled, y); y has one row per trial of a batched schedule,
-    each of length n_segments + 1.  Raises ValueError when a trial's pair
-    stops being finite within one segment; more segments shorten each step.
+    each of length n_segments + 1.  One `heisenberg._rows` call builds each
+    block of about BLOCK_CELLS (segment, trial) cells, so a degenerate or
+    complex-B epsilon moves its whole block to expm or complex arithmetic.
+    Raises ValueError when a trial's pair stops being finite within one
+    segment; more segments shorten each step.
     """
     batch = schedule.values.shape[:-1]
     dt = schedule.segment_duration(params)
+    values = np.moveaxis(schedule.values, -1, 0)  # segment-major
+    step = max(1, BLOCK_CELLS // max(1, math.prod(batch)))
     pair = np.eye(2, 4)  # rows [u v] of S(0) = I; compose broadcasts it over the trials
     log_scale = np.zeros(batch)
     y = np.empty(batch + (schedule.n_segments + 1,))
     y[..., 0] = covariance_measure(*heisenberg.pair_moments(pair, params.n_initial))
-    for k in range(schedule.n_segments):
+    for start in range(0, schedule.n_segments, step):
+        history = []  # (pair, log_scale) after each segment of the block
         with np.errstate(over="ignore", invalid="ignore"):
-            pair = heisenberg.compose(replace(params, epsilon=schedule.values[..., k]), dt, pair)
-        if not np.isfinite(pair).all():
-            raise ValueError(
-                f"second moments overflow within pump segment {k + 1} of "
-                f"{schedule.n_segments} at lambda = {params.lam:g}; use more segments"
-            )
-        peak = np.abs(pair).max(axis=(0, 1))
-        grown = peak > RESCALE_THRESHOLD
-        pair = np.where(grown, pair / peak, pair)
-        log_scale += np.where(grown, 2.0 * np.log(peak), 0.0)  # moments are quadratic in it
-        half = np.where(log_scale < 700.0, 0.5 * np.exp(-log_scale), 0.0)
-        y[..., k + 1] = covariance_measure(*heisenberg.pair_moments(pair, params.n_initial), half)
+            re, im, _ = heisenberg._rows(replace(params, epsilon=values[start:start + step]), dt)
+            for rows in np.moveaxis(re + 1j * im, 2, 0):
+                pair = heisenberg.compose(rows, pair)
+                peak = np.abs(pair).max(axis=(0, 1))  # not finite where the pair is not
+                if not np.isfinite(peak).all():
+                    raise ValueError(
+                        f"second moments overflow within pump segment {start + len(history) + 1}"
+                        f" of {schedule.n_segments} at lambda = {params.lam:g}; use more segments")
+                grown = peak > RESCALE_THRESHOLD
+                if grown.any():  # the moments, quadratic in the pair, keep 2 log(peak)
+                    pair = np.where(grown, pair / peak, pair)
+                    log_scale = log_scale + np.where(grown, 2.0 * np.log(peak), 0.0)
+                history.append((pair, log_scale))
+        pairs, log_scales = (np.stack(x, axis=-1) for x in zip(*history))  # segments last, as in y
+        half = np.where(log_scales < 700.0, 0.5 * np.exp(-log_scales), 0.0)
+        moments = heisenberg.pair_moments(pairs, params.n_initial)
+        y[..., start + 1:start + 1 + len(history)] = covariance_measure(*moments, half)
     t_scaled = np.linspace(0.0, schedule.total_scaled_time, schedule.n_segments + 1)
     return t_scaled, y
 

@@ -17,8 +17,8 @@ four functions real (cosh and sinh/|theta| past the parametric
 instability), so u and v come as real and imaginary parts in real
 arithmetic.  A complex B takes complex arithmetic, a degenerate spectrum
 the dense matrix exponential `expm` (Pade 13 with scaling and squaring).
-`propagators`, `compose` (the pair of S(t) P for a product P of them, which
-has the same form) and the moment kernel share this one row builder.  The
+`propagators`, the moment kernel and the noise ensemble, which steps its
+pairs through them with `compose`, share this one row builder.  The
 second moments of |N,0>, short sums over u and v, are the authoritative
 route to Y; a series that overflows past the instability is refused.  The
 published structure-function formulas for the same moments, and the
@@ -143,8 +143,8 @@ def _rows(params, t):
     grid is shape = broadcast(epsilon, t), but with one axis of length 1 when
     that shape is (): numpy's scalar ufuncs may round differently from its
     array loops, and a scalar t must give the bits of the same t on a grid.
-    A single degenerate epsilon sends the whole batch to one stacked
-    dense-expm call, a single complex B the batch to complex arithmetic.
+    A single degenerate epsilon sends the whole batch, a block of segments in
+    the noise ensemble, to dense expm, a single complex B to complex arithmetic.
     """
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(np.shape(params.epsilon), t.shape)
@@ -161,7 +161,7 @@ def _rows(params, t):
     (ca, sa), (cg, sg) = _cos_sinc(al2, t), _cos_sinc(ga2, t)
 
     def top(x):  # rows 0-1 of a 4x4 stack as (2, 4) + epsilon's axes, aligned with the grid's
-        x = np.moveaxis(x[..., :2, :], (-2, -1), (0, 1))
+        x = np.ascontiguousarray(np.moveaxis(x[..., :2, :], (-2, -1), (0, 1)))
         return x.reshape((2, 4) + (1,) * (np.ndim(ca) + 2 - x.ndim) + x.shape[2:])
 
     m2 = m @ m
@@ -178,7 +178,7 @@ def _rows(params, t):
 
 def _complete(pair):
     """S = [[u, v], [v*, u*]] from its rows [u v]: (2, 4) + grid -> (4, 4) + grid."""
-    return np.concatenate([pair, np.roll(pair, 2, axis=1).conj()])
+    return np.concatenate([pair, pair[:, [2, 3, 0, 1]].conj()])
 
 
 def propagators(params, t):
@@ -187,10 +187,9 @@ def propagators(params, t):
     return np.moveaxis(_complete(re + 1j * im), (0, 1), (-2, -1)).reshape(shape + (4, 4))
 
 
-def compose(params, t, pair):
-    """Rows [u v] of S(t) P, P = [[u, v], [v*, u*]] given by its rows `pair` (2, 4) + grid."""
-    re, im, shape = _rows(params, t)
-    return np.einsum("ik...,kj...->ij...", re + 1j * im, _complete(pair)).reshape((2, 4) + shape)
+def compose(rows, pair):
+    """Rows [u v] of S P from the rows of S and of P = [[u, v], [v*, u*]], each (2, 4) + grid."""
+    return np.einsum("ik...,kj...->ij...", rows, _complete(pair))
 
 
 def transported_moment_arrays(params, t):

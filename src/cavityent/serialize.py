@@ -3,18 +3,14 @@
 import json
 import sys
 
-
-def format_value(x):
-    return f"{float(x):.12g}"
+import numpy as np
 
 
 def csv_text(columns):
-    names = list(columns)
-    length = len(next(iter(columns.values())))
-    lines = [",".join(names)]
-    for i in range(length):
-        lines.append(",".join(format_value(columns[name][i]) for name in names))
-    return "\n".join(lines) + "\n"
+    """Header and one row per index, every cell as %.12g (format(float(x), ".12g"))."""
+    rows = np.column_stack([np.asarray(v, dtype=float) for v in columns.values()]).tolist()
+    template = ",".join(["%.12g"] * len(columns))
+    return "\n".join([",".join(columns), *(template % tuple(row) for row in rows)]) + "\n"
 
 
 def json_text(columns, meta):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavityent import audit, cli, figures, heisenberg, serialize
 from cavityent.params import ModelParams
@@ -170,12 +172,41 @@ class TestFigureSchemas:
         assert "lam0.05" in meta["spread_statistics"]
 
 
+_CSV_SPECIALS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310,
+                 2.2250738585072014e-308, 1e300, -1e-300, 1.7976931348623157e308, 1 / 3]
+
+
+def _csv_column(rows):  # a float column drawn from all doubles and the specials, or integers
+    floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                       st.sampled_from(_CSV_SPECIALS))
+    return st.one_of(st.lists(floats, min_size=rows, max_size=rows).map(np.array),
+                     st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows)
+                     .map(lambda xs: np.array(xs, dtype=np.int64)))
+
+
+def _per_cell_csv(columns):
+    # csv_text as it was: one format call per cell
+    names = list(columns)
+    lines = [",".join(names)]
+    for i in range(len(columns[names[0]])):
+        lines.append(",".join(f"{float(columns[name][i]):.12g}" for name in names))
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialization:
     def test_csv_header_and_precision(self):
         text = serialize.csv_text({"x": np.array([0.0, 0.5]), "y": np.array([1.0, 1 / 3])})
         lines = text.splitlines()
         assert lines[0] == "x,y"
         assert lines[2] == "0.5,0.333333333333"
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda rows: st.lists(_csv_column(rows), min_size=1,
+                                                            max_size=4)))
+    @example([np.array(_CSV_SPECIALS), np.arange(-3, len(_CSV_SPECIALS) - 3)])
+    def test_csv_rows_equal_per_cell_formatting(self, arrays):
+        columns = {f"c{k}": a for k, a in enumerate(arrays)}
+        assert serialize.csv_text(columns) == _per_cell_csv(columns)
 
     def test_json_echoes_config(self):
         text = serialize.json_text({"x": np.array([1.0])}, {"lambda": 0.1})

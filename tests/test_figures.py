@@ -3,6 +3,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from cavityent.params import ModelParams, to_physical_time
 
 SRC = str(Path(cavityent.__file__).resolve().parent.parent)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+TASKS = "/proc/self/task"  # one entry per OS thread of this process
 
 WINDOWS = [1.0, 2.0, 5.0]
 T_SCALED = np.linspace(0.0, 5.0, 1001)
@@ -115,14 +117,22 @@ class TestScanPool:
         figures.fig5(lambdas=lambdas, eps_points=eps_points, points=101)
         assert seen == [threads]
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.isdir(TASKS),
+                        reason="glibc malloc on Linux only")
     def test_a_repeated_scan_faults_in_no_fresh_memory(self):
         import resource  # glibc implies a Unix
 
         # glibc used to hand each cell's freed temporaries back to the kernel
         # and fault them in again: over 1000 page faults per 20002-point cell
         scan = dict(lambdas=(0.001, 0.1), omega=2.0, eps_points=4)
+        threads = len(os.listdir(TASKS))
         figures.fig5(**scan)
+        # a pool thread puts its malloc arena up for reuse only as its OS thread
+        # ends, after join has returned; a thread of the next pool that starts
+        # first takes a fresh arena (about 1340 faults), so wait for the ends
+        deadline = time.monotonic() + 10.0
+        while len(os.listdir(TASKS)) > threads and time.monotonic() < deadline:
+            time.sleep(0.001)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         figures.fig5(**scan)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500

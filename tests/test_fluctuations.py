@@ -107,10 +107,13 @@ class TestPropagatePiecewise:
         # and the commutators [a, b] = 0 of the evolved fields)
         p = ModelParams(1.0, 0.05, 0.0, 5)
         sched = fl.sample_schedule(0.1, n_segments=100, seed=3)
-        dt = sched.segment_duration(p)
+        # all 100 segments fall in one block: rows from one _rows call, as
+        # propagate_piecewise builds them, then composed one segment at a time
+        assert sched.n_segments <= fl.BLOCK_CELLS
+        re, im, _ = hb._rows(replace(p, epsilon=sched.values), sched.segment_duration(p))
         pair = np.eye(2, 4)
-        for eps_k in sched.values:
-            pair = hb.compose(replace(p, epsilon=eps_k), dt, pair)
+        for k in range(sched.n_segments):
+            pair = hb.compose(re[:, :, k] + 1j * im[:, :, k], pair)
         u, v = pair[:, :2], pair[:, 2:]
         scale = max(1.0, np.abs(pair).max() ** 2)
         assert np.abs(u @ u.conj().T - v @ v.conj().T - np.eye(2)).max() / scale < 1e-8
@@ -162,6 +165,56 @@ class TestPropagatePiecewise:
                                     for row in sched.values))
         assert any(rescaled) == (mean == 0.6)
         assert np.abs(y - np.array(reference)).max() <= 1e-12
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("lam, mean", [(0.05, 0.3), (0.001, 0.6)], ids=["stable", "rescaled"])
+    def test_blocks_equal_a_per_segment_loop(self, lam, mean):
+        # 300 trials put 13 segments in a block: 100 segments are 7 whole
+        # blocks and a partial one of 9
+        p = ModelParams(1.0, lam, 0.0, 5)
+        sched = _stacked([fl.sample_schedule(mean, seed=fl.trial_seed(4, k)) for k in range(300)])
+        per_block = fl.BLOCK_CELLS // 300
+        assert sched.n_segments // per_block >= 3 and sched.n_segments % per_block
+        y, log_scale = _per_segment_y(p, sched)
+        assert np.array_equal(fl.propagate_piecewise(p, sched)[1], y)
+        assert (log_scale > 0).any() == (mean == 0.6)
+
+    @pytest.mark.parametrize("omega, lam, odd_eps", [(1.0, 1.0, 0.0), (1.0, 2.5, 1.5)],
+                             ids=["degenerate", "complex-B"])
+    def test_one_odd_segment_switches_its_block(self, omega, lam, odd_eps):
+        # at omega = lambda, epsilon = 0 gives alpha = 0 (dense expm); past
+        # lambda = 2 omega, epsilon = 1.5 gives a complex B.  One such segment
+        # of one trial takes every other segment of its block with it
+        p = ModelParams(omega, lam, 0.0, 5)
+        values = np.random.default_rng(8).normal(0.3, 0.03, (3, 20))
+        values[1, 7] = odd_eps
+        sched = fl.FluctuationSchedule(0.5, values)
+        spec = hb.spectral(replace(p, epsilon=values))
+        assert hb._degenerate(spec) == (odd_eps == 0.0)
+        assert np.count_nonzero(spec.B.imag) == (odd_eps == 1.5)
+        _, y = fl.propagate_piecewise(p, sched)
+        reference = [_congruence_y(p, row, sched.segment_duration(p))[0] for row in values]
+        assert np.abs(y - np.array(reference)).max() <= 1e-12
+
+
+def _per_segment_y(p, sched):
+    # propagate_piecewise one segment at a time: rows of S from their own
+    # _rows call, the same composition and rescale, Y read at every boundary
+    dt = sched.segment_duration(p)
+    pair, log_scale = np.eye(2, 4), np.zeros(sched.values.shape[:-1])
+    y = [np.broadcast_to(covariance_measure(*hb.pair_moments(pair, p.n_initial)), log_scale.shape)]
+    for k in range(sched.n_segments):
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im, _ = hb._rows(replace(p, epsilon=sched.values[..., k]), dt)
+            pair = hb.compose(re + 1j * im, pair)
+        peak = np.abs(pair).max(axis=(0, 1))
+        grown = peak > fl.RESCALE_THRESHOLD
+        pair = np.where(grown, pair / peak, pair)
+        log_scale = log_scale + np.where(grown, 2.0 * np.log(peak), 0.0)
+        half = np.where(log_scale < 700.0, 0.5 * np.exp(-log_scale), 0.0)
+        y.append(covariance_measure(*hb.pair_moments(pair, p.n_initial), half))
+    return np.stack(y, axis=-1), log_scale
 
 
 _OVERFLOW_PARAMS = ModelParams(1.0, 0.001, 0.6, 5)
