@@ -65,7 +65,7 @@ def covariance_measure_closed(n_total, lam, t):
     """Covariance entanglement measure Y of the evolved |N,0>, closed form."""
     c2 = np.cos(lam * t) ** 2
     s2 = 1.0 - c2
-    num = n_total * np.abs(np.sin(2.0 * lam * t))
+    num = n_total * np.abs(np.sin(2.0 * (lam * t)))
     den = 2.0 * np.sqrt(2.0 * (n_total * c2 + 0.5) * (n_total * s2 + 0.5))
     return num / den
 

@@ -227,12 +227,13 @@ def fig6(
             "n_trials": n_trials, "n_segments": n_segments,
             "total_scaled_time": total_scaled_time, "master_seed": master_seed,
             "spread": spread, "spread_statistics": {}}
-    for lam, tag in zip(lambdas, _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")):
+    tags = _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")
+    # one draw of the trials' schedules, propagated at every lambda
+    batch = fluctuations.draw_schedules(mean_epsilon, n_trials, master_seed, n_segments,
+                                        total_scaled_time, spread)
+    for lam, tag in zip(lambdas, tags):
         params = validate(ModelParams(omega, lam, mean_epsilon, n_initial))
-        ens = fluctuations.run_ensemble(
-            params, mean_epsilon, n_trials=n_trials, master_seed=master_seed,
-            n_segments=n_segments, total_scaled_time=total_scaled_time, spread=spread,
-        )
+        ens = fluctuations.ensemble_of(params, batch)
         if columns is None:
             columns = {"scaled_time": ens.t_scaled}
         for k in range(n_trials):

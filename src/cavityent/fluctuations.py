@@ -127,26 +127,26 @@ def trial_seed(master_seed, trial):
     return SeedSequence([int(master_seed), int(trial)])
 
 
-def run_ensemble(
-    params,
-    mean_epsilon,
-    n_trials=10,
-    master_seed=0,
-    n_segments=100,
-    total_scaled_time=5.0,
-    spread="std",
-):
-    """Independent seeded trials of the fluctuating-pump evolution.
-
-    Trial k draws its schedule from trial_seed(master_seed, k); the
-    schedules are stacked and propagated together.
-    """
+def draw_schedules(mean_epsilon, n_trials=10, master_seed=0, n_segments=100,
+                   total_scaled_time=5.0, spread="std"):
+    """The stacked schedules of an ensemble: trial k draws from trial_seed(master_seed, k)."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    seeds = [trial_seed(master_seed, k) for k in range(n_trials)]
-    values = np.stack([sample_schedule(mean_epsilon, n_segments, total_scaled_time, seed,
-                                       spread).values for seed in seeds])
-    batch = FluctuationSchedule(float(total_scaled_time), values)
+    values = np.stack([sample_schedule(mean_epsilon, n_segments, total_scaled_time,
+                                       trial_seed(master_seed, k), spread).values
+                       for k in range(n_trials)])
+    return FluctuationSchedule(float(total_scaled_time), values)
+
+
+def run_ensemble(params, mean_epsilon, n_trials=10, master_seed=0, n_segments=100,
+                 total_scaled_time=5.0, spread="std"):
+    """Independent seeded trials of the fluctuating-pump evolution (see draw_schedules)."""
+    return ensemble_of(params, draw_schedules(mean_epsilon, n_trials, master_seed, n_segments,
+                                              total_scaled_time, spread))
+
+
+def ensemble_of(params, batch):
+    """Y of every trial of a batch of schedules, propagated together, and its statistics."""
     t_scaled, trials = propagate_piecewise(params, batch)
     mean = trials.mean(axis=0)
     std = trials.std(axis=0)

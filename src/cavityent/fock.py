@@ -190,26 +190,28 @@ class SpectralEvolver:
     def leak_bound(self, leak, psi0, t):
         """B(t) = sqrt(t int_0^t |leak psi(s)|^2 ds) for psi(s) = exp(-iHs) psi0.
 
-        leak is a SparseMatrix with the basis as columns (see truncation).
-        With x the eigen-coefficients of psi0 and W = (leak V)^dag (leak V)
-        on the sector's eigenvectors V, the integral is exact, with no
-        quadrature:
+        leak is a SparseMatrix with the basis as columns (see truncation);
+        psi0 must be real.  With x the eigen-coefficients of psi0, V the
+        sector's eigenvectors and z = (leak V) diag(x), the integral is
+        exact, with no quadrature:
 
-            sum_jk conj(x_j) x_k W_jk (exp(i w_jk t) - 1) / (i w_jk),
+            sum_jk W_jk (exp(i w_jk t) - 1) / (i w_jk),  W = z^dag z,
 
-        w_jk = E_j - E_k, a term that is t where w_jk = 0.  The factor is
-        written t exp(i w t/2) sin(w t/2) / (w t/2), which loses no digits
-        there.
+        w_jk = E_j - E_k, a term that is t where w_jk = 0.  H's block is
+        real symmetric, so V, x (psi0 real), z and W = z^T z are real, and
+        W is symmetric.  The kernel's imaginary part (1 - cos(w t)) / w is
+        odd in w and cancels between W_jk and W_kj; its real part,
+        sin(w t) / w = t sinc(w t / pi), loses no digits at w = 0.
         """
-        coeff = self._coefficients(psi0)
+        if np.any(np.imag(psi0)):
+            raise ValueError("leak_bound needs a real psi0: it has a nonzero imaginary part")
         inside = self.sector[leak.cols]
         reached, row = np.unique(leak.rows[inside], return_inverse=True)
         block = np.zeros((reached.size, self.energies.size))
         block[row, self._position[leak.cols[inside]]] = leak.values[inside]
-        z = (block @ self.modes) * coeff
+        z = (block @ self.modes) * self._coefficients(psi0).real
         gap = self.energies[:, None] - self.energies[None, :]
-        kernel = t * np.exp(0.5j * gap * t) * np.sinc(gap * t / (2.0 * np.pi))
-        integral = np.sum((z.conj().T @ z) * kernel).real
+        integral = t * np.sum((z.T @ z) * np.sinc(gap * (t / np.pi)))
         return float(np.sqrt(t * max(integral, 0.0)))
 
 

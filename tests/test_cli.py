@@ -1,5 +1,6 @@
 import inspect
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,18 @@ class TestCliEndToEnd:
         lines = out.splitlines()
         assert lines[0] == "t_scaled,Y_N1,Y_N5,Y_N10,Y_N50"
         assert len(lines) == 6
+
+    def test_fig1_at_the_largest_hopping_is_finite(self, capsys):
+        # 2 lambda t is formed as 2 (lambda t), so lambda = 1e308 overflows nowhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(["fig1", "--lambda", "1e308", "--points", "11"], capsys)
+        assert code == 0
+        rows = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        assert rows.shape == (11, 5) and np.isfinite(rows).all()
+        _, reference, _ = run_cli(["fig1", "--lambda", "0.1", "--points", "11"], capsys)
+        np.testing.assert_allclose(rows, np.loadtxt(reference.splitlines()[1:], delimiter=","),
+                                   rtol=0.0, atol=1e-12)
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["fig6", "--trials", "2", "--segments", "10", "--t-max-scaled", "1.0",

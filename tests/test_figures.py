@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cavityent
-from cavityent import figures, heisenberg
+from cavityent import figures, fluctuations, heisenberg
 from cavityent.params import ModelParams, to_physical_time
 
 SRC = str(Path(cavityent.__file__).resolve().parent.parent)
@@ -164,3 +164,20 @@ def test_pooled_json_is_identical_on_one_cpu_and_on_all(name, tmp_path):
 def test_an_empty_list_setting_is_refused_by_name(table, setting):
     with pytest.raises(ValueError, match=f"^{setting} must list at least one value$"):
         table(**{setting: ()})
+
+
+def test_fig6_draws_each_trial_schedule_once_for_every_lambda(monkeypatch):
+    draws = []
+    sample = fluctuations.sample_schedule
+    monkeypatch.setattr(fluctuations, "sample_schedule",
+                        lambda *args, **kwargs: draws.append(args) or sample(*args, **kwargs))
+    lambdas = (0.001, 0.02, 0.05)
+    columns, _ = figures.fig6(lambdas=lambdas, n_trials=3, n_segments=12, total_scaled_time=1.0,
+                              master_seed=7)
+    assert len(draws) == 3
+    # the shared draw is the one run_ensemble makes at each lambda on its own
+    for lam in lambdas:
+        ens = fluctuations.run_ensemble(ModelParams(1.0, lam, 0.3, 5), 0.3, n_trials=3,
+                                        master_seed=7, n_segments=12, total_scaled_time=1.0)
+        for k in range(3):
+            assert np.array_equal(columns[f"Y_lam{lam:g}_trial{k + 1}"], ens.trials[k])

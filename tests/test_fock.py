@@ -355,6 +355,39 @@ ROUNDING = 1e-12
 
 BOUND_CASES = [(0.1, 0.1, 5), (0.05, 0.2, 3), (0.15, 0.05, 2)]
 
+# rungs of oracle-check's pumped case (0.1, 0.1, 5): two of its ladder, the
+# certified K = 48, and one under a linear drive (both parities, no sector cut)
+LEAK_RUNGS = [(17, 0.0), (30, 0.0), (48, 0.0), (24, 0.05)]
+LEAK_IDS = ["K17", "K30", "K48", "K24-drive"]
+
+
+def _dense_leak(leak):
+    """leak as a dense matrix on the states it reaches (rows) and the basis (columns)."""
+    reached, row = np.unique(leak.rows, return_inverse=True)
+    out = np.zeros((reached.size, leak.shape[1]))
+    out[row, leak.cols] = leak.values
+    return out
+
+
+def _simpson_leak_bound(ev, leak, psi0, t, points=4001):
+    """B(t) from composite Simpson on |leak psi(s)|^2, the states taken from at_times."""
+    dense = _dense_leak(leak)
+    s = np.linspace(0.0, t, points)
+    squares = np.concatenate([np.sum(np.abs(ev.at_times(psi0, part) @ dense.T) ** 2, axis=-1)
+                              for part in np.array_split(s, 16)])  # 16 parts bound the memory
+    weights = np.ones(points)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return math.sqrt(t * (s[1] - s[0]) / 3.0 * (weights @ squares))
+
+
+def _complex_leak_bound(ev, leak, psi0, t):
+    """B(t) by the complex kernel sum: sum_jk conj(x_j) x_k W_jk t exp(i w t/2) sinc(w t/2 pi)."""
+    coeff = ev.modes.T @ psi0[ev.sector]
+    z = (_dense_leak(leak)[:, ev.sector] @ ev.modes).astype(complex) * coeff
+    gap = ev.energies[:, None] - ev.energies[None, :]
+    kernel = t * np.exp(0.5j * gap * t) * np.sinc(gap * t / (2.0 * np.pi))
+    return math.sqrt(t * max(np.sum((z.conj().T @ z) * kernel).real, 0.0))
+
 
 class TestCertificate:
     @pytest.mark.parametrize("lam, eps, n0", BOUND_CASES)
@@ -386,6 +419,29 @@ class TestCertificate:
         bounds = [ev.leak_bound(leak, psi0, t) for t in np.linspace(0.0, 40.0, 9)]
         assert bounds[0] == 0.0
         assert np.all(np.diff(bounds) > 0.0)
+
+    @pytest.mark.parametrize("cutoff, drive", LEAK_RUNGS, ids=LEAK_IDS)
+    def test_leak_bound_matches_a_time_domain_quadrature(self, cutoff, drive):
+        p = ModelParams(1.0, 0.1, 0.1, 5)
+        _, ev, leak, psi0 = _rung(p, cutoff, drive)
+        t = to_physical_time(1.0, p)
+        np.testing.assert_allclose(ev.leak_bound(leak, psi0, t),
+                                   _simpson_leak_bound(ev, leak, psi0, t), rtol=1e-8)
+
+    @pytest.mark.parametrize("cutoff, drive", LEAK_RUNGS, ids=LEAK_IDS)
+    def test_leak_bound_equals_the_complex_kernel_sum(self, cutoff, drive):
+        p = ModelParams(1.0, 0.1, 0.1, 5)
+        _, ev, leak, psi0 = _rung(p, cutoff, drive)
+        for scaled in (0.1, 0.5, 1.0):
+            t = to_physical_time(scaled, p)
+            np.testing.assert_allclose(ev.leak_bound(leak, psi0, t),
+                                       _complex_leak_bound(ev, leak, psi0, t), rtol=1e-12)
+
+    def test_leak_bound_refuses_a_complex_initial_state(self):
+        p = ModelParams(1.0, 0.1, 0.1, 5)
+        _, ev, leak, psi0 = _rung(p, 17)
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            ev.leak_bound(leak, psi0 * np.exp(0.25j), 10.0)
 
     @pytest.mark.parametrize(
         "lam, eps, n0, scaled, drive",
