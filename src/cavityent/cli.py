@@ -10,7 +10,9 @@ parsed.  Both the flags (`--t-max-scaled`) and the config keys
 (`t_max_scaled = 2.0`) of a subcommand are built from that table, so a
 flag or config key the subcommand does not take is a usage error that
 names it, never silently dropped.  `cavityent SUBCOMMAND -h` lists the
-accepted flags.
+accepted flags.  META_ONLY names the keyword of a function that switches
+on work whose results only the JSON metadata carries; the CLI sets it
+from `--format`, so a CSV run skips that work.
 
 Settings resolve as: built-in defaults < config file (key = value lines)
 < command-line flags.  Config keys are the long flag names with
@@ -158,6 +160,9 @@ COMMANDS = {
                                                "convergence_tol": "convergence_tol"}),
 }
 REQUIRED = {"sweep": ("lambda",)}
+# subcommand -> keyword of its function that computes results only meta holds;
+# set True for JSON output, False for CSV, which does not write meta
+META_ONLY = {"fig5": "sensitivity"}
 
 
 def build_parser():
@@ -203,7 +208,9 @@ def main(argv=None):
 
     (module, function), keys = COMMANDS[args.subcommand]
     kwargs = {keys[key]: value for key, value in settings.items() if keys[key]}
-    out = settings.get("out")
+    out, fmt = settings.get("out"), settings.get("format", "csv")
+    if args.subcommand in META_ONLY:
+        kwargs[META_ONLY[args.subcommand]] = fmt == "json"
     try:
         result = getattr(module, function)(**kwargs)
         if args.subcommand == "oracle-check":
@@ -211,7 +218,7 @@ def main(argv=None):
             serialize.write_report(report, out)
             return EXIT_OK if ok else EXIT_TOLERANCE
         columns, meta = result
-        serialize.write_table(columns, meta, out, settings.get("format", "csv"))
+        serialize.write_table(columns, meta, out, fmt)
         return EXIT_OK
     except ConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")

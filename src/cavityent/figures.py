@@ -111,18 +111,26 @@ def fig5(
     window_scaled=2.0,
     points=8001,
     sensitivity_windows=(1.0, 5.0),
+    sensitivity=True,
 ):
     """Max Y over a scan window as a function of pump strength epsilon.
 
     The maximization horizon is not fixed by the physics; the default is
-    two scaled-time units, and meta carries the same scan at the
-    sensitivity windows so the horizon dependence is visible.
+    two scaled-time units, and meta["sensitivity"] carries the same scan at
+    the sensitivity windows so the horizon dependence is visible.
+
+    The time grid always spans the longest window.  With sensitivity=False
+    each cell is evaluated only on the grid's prefix up to window_scaled
+    and meta has no "sensitivity" entry; the columns keep every bit.  The
+    CLI computes the sensitivity windows only for JSON output, since CSV
+    does not write meta.
 
     The (lambda, epsilon) cells run on `_scan`'s thread pool, one thread
     per CPU in the process's affinity mask (`taskset -c 0` gives a one-core
     run), each thread one whole cell at a time.  Every cell is computed
     alone, so the output is byte-identical for any CPU count.  A cell whose
-    Y is not finite is refused by `heisenberg.covariance_series`.
+    Y is not finite on the evaluated grid is refused by
+    `heisenberg.covariance_series`.
     """
     labels = _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")
     eps_grid = np.linspace(0.0, eps_max, eps_points)
@@ -130,7 +138,8 @@ def fig5(
     longest = max(windows)
     n_t = max(points, int(points * longest / window_scaled))
     t_scaled = np.linspace(0.0, longest, n_t)
-    ends = np.searchsorted(t_scaled, windows, side="right")
+    returned = windows if sensitivity else [window_scaled]
+    ends = np.searchsorted(t_scaled, returned, side="right")
     cells = [validate(ModelParams(omega, lam, float(eps), n_initial))
              for lam in lambdas for eps in eps_grid]
 
@@ -138,20 +147,22 @@ def fig5(
         y = heisenberg.covariance_series(params, t)
         return [y[:end].max() for end in ends]
 
-    maxima = np.array(_scan(window_maxima, cells, t_scaled))
+    # ends is ascending, so the last is the prefix every returned window needs
+    maxima = np.array(_scan(window_maxima, cells, t_scaled[:ends[-1]]))
     columns = {"epsilon": eps_grid}
-    sensitivity = {}
-    for label, scan in zip(labels, maxima.reshape(len(lambdas), eps_points, len(windows))):
-        per_window = dict(zip(windows, scan.T))
+    scans = {}
+    for label, scan in zip(labels, maxima.reshape(len(lambdas), eps_points, len(returned))):
+        per_window = dict(zip(returned, scan.T))
         columns[f"max_Y_{label}"] = per_window[window_scaled]
-        sensitivity[label] = {
-            f"window{w:g}": per_window[w].tolist() for w in windows if w != window_scaled
+        scans[label] = {
+            f"window{w:g}": per_window[w].tolist() for w in returned if w != window_scaled
         }
     meta = {"omega": omega, "n_initial": n_initial, "lambdas": list(lambdas),
             "eps_max": eps_max, "eps_points": eps_points,
             "window_scaled": window_scaled, "points": n_t,
-            "sensitivity_windows": [w for w in windows if w != window_scaled],
-            "sensitivity": sensitivity}
+            "sensitivity_windows": [w for w in windows if w != window_scaled]}
+    if sensitivity:
+        meta["sensitivity"] = scans
     return columns, meta
 
 

@@ -85,10 +85,22 @@ def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):
 
 
 def to_physical_time(s, params):
-    """Convert scaled time (units of pi/lambda) to physical time."""
+    """Convert scaled time (units of pi/lambda) to physical time.
+
+    A ValueError names lambda where s * pi / lambda is not finite, as for a
+    subnormal lambda, instead of handing inf on to the routes.
+    """
     if params.lam == 0:
         raise ValueError("scaled time undefined for uncoupled cavities")
-    return s * math.pi / params.lam
+    with np.errstate(over="ignore"):
+        t = s * math.pi / params.lam
+    finite = np.isfinite(t)
+    if not np.all(finite):
+        s_first = np.broadcast_to(s, np.shape(t)).flat[np.argmin(finite)]
+        raise ValueError(f"physical time is not finite at lambda = {params.lam:g}, scaled "
+                         f"time {s_first:g}: scaled time * pi / lambda overflows; "
+                         "raise lambda or end the time grid earlier")
+    return t
 
 
 def to_scaled_time(t, params):

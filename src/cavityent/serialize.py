@@ -7,8 +7,18 @@ import numpy as np
 
 
 def csv_text(columns):
-    """Header and one row per index, every cell as %.12g (format(float(x), ".12g"))."""
-    rows = np.column_stack([np.asarray(v, dtype=float) for v in columns.values()]).tolist()
+    """Header and one row per index, every cell as %.12g (format(float(x), ".12g")).
+
+    A NaN or infinite cell is refused with a ValueError naming its column,
+    as json_text refuses one.
+    """
+    table = np.column_stack([np.asarray(v, dtype=float) for v in columns.values()])
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"column {list(columns)[col]!r} holds {table[row, col]} at row {row}; "
+                         "CSV output refuses NaN and infinite values")
+    rows = table.tolist()
     template = ",".join(["%.12g"] * len(columns))
     return "\n".join([",".join(columns), *(template % tuple(row) for row in rows)]) + "\n"
 

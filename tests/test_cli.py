@@ -70,6 +70,8 @@ _EMPTY_LISTS = [
 # settings whose second moments overflow past the parametric instability
 _OVERFLOWING_SCAN = ["--omega", "1", "--eps-max", "0.9", "--eps-points", "10", "--points", "201"]
 _OVERFLOWING_PAIR = ["--omega", "1", "--pairs", "0.01,0.9", "--points", "201"]
+# a small fig5 scan: 2 lambdas x 4 epsilons on a 502-point grid
+_SCAN = ["--lambdas", "0.01,0.1", "--omega", "2", "--eps-points", "4", "--points", "201"]
 
 # (subcommand, key, text, the two values named, their shared label): each
 # would have written one column for two values
@@ -173,12 +175,12 @@ class TestFigureSchemas:
         assert "lam0.05" in meta["spread_statistics"]
 
 
-_CSV_SPECIALS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-310,
-                 2.2250738585072014e-308, 1e300, -1e-300, 1.7976931348623157e308, 1 / 3]
+_CSV_SPECIALS = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e-300,
+                 1.7976931348623157e308, 1 / 3]
 
 
-def _csv_column(rows):  # a float column drawn from all doubles and the specials, or integers
-    floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+def _csv_column(rows):  # a float column of finite doubles and the specials, or integers
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
                        st.sampled_from(_CSV_SPECIALS))
     return st.one_of(st.lists(floats, min_size=rows, max_size=rows).map(np.array),
                      st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows)
@@ -208,6 +210,17 @@ class TestSerialization:
     def test_csv_rows_equal_per_cell_formatting(self, arrays):
         columns = {f"c{k}": a for k, a in enumerate(arrays)}
         assert serialize.csv_text(columns) == _per_cell_csv(columns)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_csv_is_refused_by_column(self, value, capsys):
+        columns = {"x": np.array([0.0, 1.0, 2.0]), "Y": np.array([0.5, value, value])}
+        with pytest.raises(ValueError, match=rf"^column 'Y' holds {value} at row 1; CSV output "
+                                             r"refuses NaN and infinite values$"):
+            serialize.csv_text(columns)
+        with pytest.raises(ValueError, match="column 'Y'"):
+            serialize.write_table(columns, {}, None, "csv")
+        assert capsys.readouterr().out == ""
 
     def test_json_echoes_config(self):
         text = serialize.json_text({"x": np.array([1.0])}, {"lambda": 0.1})
@@ -247,6 +260,19 @@ class TestCliEndToEnd:
         _, reference, _ = run_cli(["fig1", "--lambda", "0.1", "--points", "11"], capsys)
         np.testing.assert_allclose(rows, np.loadtxt(reference.splitlines()[1:], delimiter=","),
                                    rtol=0.0, atol=1e-12)
+
+    def test_overflowing_physical_time_is_refused(self, tmp_path, capsys):
+        # pi / lambda overflows at a subnormal lambda: fig2 used to write nan in Y and S
+        out = tmp_path / "fig2.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run_cli(["fig2", "--lambda", "1e-320", "--points", "3",
+                                         "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: physical time is not finite at lambda = 9.99989e-321, "
+                              "scaled time 0.5:")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["fig6", "--trials", "2", "--segments", "10", "--t-max-scaled", "1.0",
@@ -349,6 +375,51 @@ class TestCliEndToEnd:
         assert message in err
         assert not out.exists()
 
+    def test_csv_scan_evaluates_only_the_window_prefix(self, monkeypatch, capsys):
+        lengths = []
+        series = heisenberg.covariance_series
+        monkeypatch.setattr(heisenberg, "covariance_series",
+                            lambda params, t: lengths.append(len(t)) or series(params, t))
+        assert run_cli(["fig5", *_SCAN], capsys)[0] == 0
+        csv_lengths = lengths[:]
+        lengths.clear()
+        code, out, _ = run_cli(["fig5", *_SCAN, "--format", "json"], capsys)
+        assert code == 0
+        # the grid spans the longest sensitivity window, 5, with int(201 * 5 / 2) points
+        t_scaled = np.linspace(0.0, 5.0, 502)
+        assert json.loads(out)["config"]["points"] == len(t_scaled)
+        assert csv_lengths == [np.count_nonzero(t_scaled <= 2.0)] * 8 == [201] * 8
+        assert lengths == [len(t_scaled)] * 8
+
+    def test_csv_and_json_scans_share_their_columns_bit_for_bit(self, monkeypatch, capsys):
+        written = []
+        write_table = serialize.write_table
+        monkeypatch.setattr(serialize, "write_table", lambda columns, meta, out, fmt: (
+            written.append(columns) or write_table(columns, meta, out, fmt)))
+        _, csv_out, _ = run_cli(["fig5", *_SCAN], capsys)
+        _, json_out, _ = run_cli(["fig5", *_SCAN, "--format", "json"], capsys)
+        csv_columns, json_columns = written
+        assert list(csv_columns) == list(json_columns)
+        for name, values in csv_columns.items():
+            assert values.tobytes() == json_columns[name].tobytes()
+        assert serialize.csv_text(json.loads(json_out)["columns"]) == csv_out
+
+    def test_overflow_past_the_window_refuses_only_json(self, tmp_path, capsys):
+        # lambda = 0.1 overflows from scaled time 4.3 on at these epsilons: past the
+        # CSV's window 2, inside the window 5 that JSON's sensitivity scan reaches
+        argv = ["fig5", "--lambdas", "0.1", "--omega", "1", "--eps-max", "1.4",
+                "--eps-points", "15", "--points", "201"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        assert rows.shape == (15, 2) and np.isfinite(rows).all()
+        target = tmp_path / "scan.json"
+        code, _, err = run_cli([*argv, "--format", "json", "--out", str(target)], capsys)
+        assert code == 1
+        assert ("error: Y is not finite at lambda = 0.1, epsilon = 1.3, first at scaled "
+                "time 4.71058:") in err
+        assert not target.exists()
+
     @pytest.mark.parametrize("name, key, text, values, label", _CLASHING_LISTS,
                              ids=[row[0] for row in _CLASHING_LISTS])
     def test_values_sharing_a_column_label_are_refused(self, name, key, text, values, label,
@@ -437,6 +508,11 @@ class TestCommandTable:
             params = inspect.signature(getattr(module, function)).parameters
             for kwarg in keys.values():
                 assert kwarg is None or kwarg in params
+
+    def test_every_meta_only_keyword_is_a_keyword_of_its_function(self):
+        for name, kwarg in cli.META_ONLY.items():
+            (module, function), _ = cli.COMMANDS[name]
+            assert kwarg in inspect.signature(getattr(module, function)).parameters
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
     def test_shipped_config_keys_are_accepted(self, path):

@@ -98,6 +98,16 @@ class TestScanPool:
         columns, _ = figures.fig5(**scan, sensitivity_windows=(1.0,))
         assert np.isfinite(columns["max_Y_lam0.1"]).all()
 
+    def test_scan_without_sensitivity_keeps_its_columns_bit_for_bit(self):
+        scan = dict(lambdas=(0.001, 0.1), omega=2.0, eps_points=3, points=201)
+        columns, meta = figures.fig5(**scan)
+        prefix_columns, prefix_meta = figures.fig5(**scan, sensitivity=False)
+        assert set(meta["sensitivity"]) == {"lam0.001", "lam0.1"}
+        assert prefix_meta == {k: v for k, v in meta.items() if k != "sensitivity"}
+        assert list(prefix_columns) == list(columns)
+        for name, values in columns.items():
+            assert prefix_columns[name].tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("cpus, lambdas, eps_points, threads", [
         (64, (0.1,), 2, 2),
         (3, (0.1, 0.01), 4, 3),

@@ -35,6 +35,16 @@ def test_uncoupled_cavities_rejected():
         to_scaled_time(1.0, ModelParams(lam=0.0))
 
 
+@pytest.mark.parametrize("s, first", [(0.5, "0.5"), (np.array([0.0, 0.25, 0.5]), "0.25")],
+                         ids=["scalar", "array"])
+def test_overflowing_physical_time_names_lambda(s, first):
+    # pi / 1e-320 already overflows: each s > 0 maps to inf
+    with pytest.raises(ValueError, match=rf"^physical time is not finite at lambda = "
+                                         rf"9\.99989e-321, scaled time {first}:"):
+        to_physical_time(s, ModelParams(lam=1e-320))
+    assert to_physical_time(s, ModelParams(lam=-1e-300)) == pytest.approx(-s * math.pi * 1e300)
+
+
 def test_round_trip_across_lambda_range():
     rng = np.random.default_rng(3)
     for lam in 10 ** rng.uniform(-4, 0, size=200):
