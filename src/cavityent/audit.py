@@ -146,7 +146,6 @@ def oracle_check(
     n_initial=5,
     seed=2024,
     n_random_draws=25,
-    pumped_params=(0.1, 0.1),
     convergence_tol=1e-6,
 ):
     """Dual-path audit: closed forms vs transport vs the Fock oracle.
@@ -209,7 +208,7 @@ def oracle_check(
 
     # pumped transport vs the Fock oracle, at the cutoff its leak bound
     # certifies (leak_bound at t_max, and the observable bound it implies)
-    lam_p, eps_p = pumped_params
+    lam_p, eps_p = 0.1, 0.1
     p = validate(ModelParams(omega, lam_p, eps_p, n_initial))
     t_max = to_physical_time(1.0, p)
     basis, ev = fock.check_convergence(p, t_max, tol=convergence_tol)

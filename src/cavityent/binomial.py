@@ -14,7 +14,7 @@ quantity computed from this module (|amplitude|, photon numbers, Y, the
 reduced spectrum and the entropy), and the brute-force Fock comparison is
 therefore done on magnitudes.
 
-Binomials are exact integers (math.comb) before their logarithm is taken,
+Binomials are exact integers before their logarithm is taken,
 and 0 log 0 is 0 throughout (_xlogy).
 """
 
@@ -25,9 +25,14 @@ import numpy as np
 from .params import covariance_measure
 
 
-def _log_binomial(n, k):
-    """log C(n, k) for an integer n and an integer array k, from the exact binomial."""
-    return np.array([math.log(math.comb(n, int(j))) for j in np.ravel(k)]).reshape(np.shape(k))
+def _log_binomial(n):
+    """log C(n, k), k = 0..n, of the exact integers C(n, k + 1) = C(n, k) (n - k) // (k + 1)."""
+    logs = np.empty(n + 1)
+    comb = 1
+    for k in range(n + 1):
+        logs[k] = math.log(comb)
+        comb = comb * (n - k) // (k + 1)
+    return logs
 
 
 def _xlogy(x, y):
@@ -49,7 +54,7 @@ def binomial_state(params, t):
     phase = np.exp(-1j * n_total * params.omega * t)
     c, s = np.cos(params.lam * t), np.sin(params.lam * t)
     # sign-safe even for negative cos/sin: powers of possibly negative reals
-    magnitude = np.exp(0.5 * _log_binomial(n_total, n))
+    magnitude = np.exp(0.5 * _log_binomial(n_total))
     amps = phase * magnitude * c ** (n_total - n) * s ** n
     return amps.astype(complex)
 
@@ -98,7 +103,7 @@ def reduced_spectrum(params, t):
     n = np.arange(n_total + 1)
     c2 = np.cos(params.lam * np.asarray(t, dtype=float)[..., None]) ** 2
     s2 = 1.0 - c2
-    log_p = _log_binomial(n_total, n)
+    log_p = _log_binomial(n_total)
     # p_n = C(N,n) cos^(2(N-n)) sin^(2n); handle c2 or s2 = 0 via _xlogy
     log_p = log_p + _xlogy(n_total - n, c2) + _xlogy(n, s2)
     p = np.where(np.isneginf(log_p), 0.0, np.exp(log_p))

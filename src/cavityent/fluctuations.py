@@ -62,30 +62,12 @@ class EnsembleResult:
     cv: np.ndarray           # std normalized by the peak of the mean series
 
 
-def sample_schedule(mean, n_segments=100, total_scaled_time=5.0, seed=0, spread="std"):
-    """Draw a seeded piecewise-constant pump schedule.
-
-    spread="std":      Gaussian std      = mean/10 (default, see module docstring).
-    spread="variance": Gaussian variance = mean/10 (the literal reading).
-    """
-    if mean < 0:
-        raise ValueError("mean pump amplitude must be non-negative")
-    if spread == "variance":
-        sigma = math.sqrt(mean / 10.0)
-    elif spread == "std":
-        sigma = mean / 10.0
-    else:
-        raise ValueError(f"unknown spread mode {spread!r}")
-    rng = default_rng(seed)
-    values = rng.normal(loc=mean, scale=sigma, size=int(n_segments))
-    return FluctuationSchedule(float(total_scaled_time), values)
-
-
 def propagate_piecewise(params, schedule):
     """Y at every segment boundary under the piecewise-constant pump.
 
-    Returns (t_scaled, y); y has one row per trial of a batched schedule,
-    each of length n_segments + 1.  One `heisenberg._rows` call builds each
+    The schedule is the pump: params.epsilon is not read.  Returns
+    (t_scaled, y); y has one row per trial of a batched schedule, each of
+    length n_segments + 1.  One `heisenberg._rows` call builds each
     block of about BLOCK_CELLS (segment, trial) cells, so a degenerate or
     complex-B epsilon moves its whole block to expm or complex arithmetic.
     Raises ValueError when a trial's pair stops being finite within one
@@ -129,24 +111,33 @@ def trial_seed(master_seed, trial):
 
 def draw_schedules(mean_epsilon, n_trials=10, master_seed=0, n_segments=100,
                    total_scaled_time=5.0, spread="std"):
-    """The stacked schedules of an ensemble: trial k draws from trial_seed(master_seed, k)."""
+    """The seeded piecewise-constant pump schedules of an ensemble, one row per trial.
+
+    Row k is n_segments Gaussian draws about mean_epsilon from
+    default_rng(trial_seed(master_seed, k)), with
+    spread="std":      std      = mean/10 (default, see module docstring);
+    spread="variance": variance = mean/10 (the literal reading).
+    """
+    if mean_epsilon < 0:
+        raise ValueError("mean pump amplitude must be non-negative")
+    if spread == "variance":
+        sigma = math.sqrt(mean_epsilon / 10.0)
+    elif spread == "std":
+        sigma = mean_epsilon / 10.0
+    else:
+        raise ValueError(f"unknown spread mode {spread!r}")
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    values = np.stack([sample_schedule(mean_epsilon, n_segments, total_scaled_time,
-                                       trial_seed(master_seed, k), spread).values
-                       for k in range(n_trials)])
+    rngs = (default_rng(trial_seed(master_seed, k)) for k in range(n_trials))
+    values = np.stack([rng.normal(mean_epsilon, sigma, int(n_segments)) for rng in rngs])
     return FluctuationSchedule(float(total_scaled_time), values)
 
 
-def run_ensemble(params, mean_epsilon, n_trials=10, master_seed=0, n_segments=100,
-                 total_scaled_time=5.0, spread="std"):
-    """Independent seeded trials of the fluctuating-pump evolution (see draw_schedules)."""
-    return ensemble_of(params, draw_schedules(mean_epsilon, n_trials, master_seed, n_segments,
-                                              total_scaled_time, spread))
-
-
 def ensemble_of(params, batch):
-    """Y of every trial of a batch of schedules, propagated together, and its statistics."""
+    """Y of every trial of a batch of schedules, propagated together, and its statistics.
+
+    The schedules are the pump: params.epsilon is not read.
+    """
     t_scaled, trials = propagate_piecewise(params, batch)
     mean = trials.mean(axis=0)
     std = trials.std(axis=0)

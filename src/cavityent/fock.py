@@ -7,15 +7,15 @@ full Hamiltonian
         + epsilon (a^dag^2 + a^2) + drive (a^dag + a)
 
 is written once as a table of its matrix elements (_terms) and assembled
-from it as a list of nonzero entries (SparseMatrix) on a per-mode
-photon-number box, or on the states n_a + n_b <= K of the box; it is
-evolved by spectral decomposition, and interrogated for moments, the
-covariance measure and the a-mode entanglement entropy.
+from it as a list of nonzero entries (SparseMatrix) on the states
+n_a + n_b <= K of the box; it is evolved by spectral decomposition, and
+interrogated for moments, the covariance measure and the a-mode
+entanglement entropy.
 
 Only the sector that the initial state reaches under H is diagonalised:
 the photon-number parity sector when pumped (hopping keeps n_a + n_b and
 the pump changes n_a by 2), the N-photon shell without pump or drive, and
-the whole basis under a linear drive.  The sector is found from H's nonzero
+every state kept under a linear drive.  The sector is found from H's nonzero
 values and checked, not assumed: H must have no entry between it and the
 rest of the basis.  Only its block is made dense.
 
@@ -97,16 +97,15 @@ def _terms(params, n_a, n_b, linear_drive):
     yield 1, 0, linear_drive * up_a                             # drive a^dag
 
 
-def _assemble(params, basis, total, linear_drive):
-    """(h, leak) for H on the states of basis with n_a + n_b <= total.
+def _assemble(params, basis, linear_drive):
+    """(h, leak) for H on the states of the square basis with n_a + n_b <= basis.cutoff_a.
 
-    h is H restricted to those states, in basis's flat index; an element
-    that leaves the box is dropped.  leak holds the elements from them to
-    the states with n_a + n_b > total: its columns are basis's states, its
-    rows n_a (cutoff_b + 1) + n_b for the states reached.  Zero elements
-    are not stored.
+    h is H restricted to those states, in basis's flat index.  leak holds
+    the elements from them to the states with n_a + n_b > cutoff: its
+    columns are basis's states, its rows n_a (cutoff_b + 1) + n_b for the
+    states reached.  Zero elements are not stored.
     """
-    width = basis.cutoff_b + 1
+    total, width = basis.cutoff_a, basis.cutoff_b + 1
     n_a, n_b = np.divmod(np.arange(basis.dim), width)
     source = np.flatnonzero(n_a + n_b <= total)
     n_a, n_b = n_a[source], n_b[source]
@@ -114,7 +113,7 @@ def _assemble(params, basis, total, linear_drive):
     for da, db, value in _terms(params, n_a, n_b, linear_drive):
         to_a, to_b = n_a + da, n_b + db
         stored = (value != 0) & (to_b >= 0)
-        kept = stored & (to_a + to_b <= total) & (to_a <= basis.cutoff_a)
+        kept = stored & (to_a + to_b <= total)
         target = to_a * width + to_b
         h.append((target[kept], source[kept], value[kept]))
         if da or db:  # and its transpose, the term that lowers n_a
@@ -125,15 +124,6 @@ def _assemble(params, basis, total, linear_drive):
     h = SparseMatrix(rows, cols, values, (basis.dim, basis.dim))
     rows, cols, values = (np.concatenate(part) for part in zip(*leak))
     return h, SparseMatrix(rows, cols, values, ((basis.cutoff_a + 3) * width, basis.dim))
-
-
-def build_hamiltonian(params, basis, linear_drive=0.0):
-    """Real-symmetric Hamiltonian on the box, as a SparseMatrix in basis's flat index.
-
-    Nothing here is dense: SpectralEvolver makes dense only the block of
-    the sector it diagonalises.
-    """
-    return _assemble(params, basis, basis.cutoff_a + basis.cutoff_b, linear_drive)[0]
 
 
 def reachable_sector(h, state):
@@ -288,10 +278,12 @@ def truncation(params, cutoff, linear_drive=0.0):
     projector onto T: it holds only the elements between states of T.
     leak is Q H P, Q = 1 - P: its columns are the box's states, its rows
     the states outside T that H reaches from T (see _assemble).  Both are
-    built directly on T, from one table of H's elements.
+    built directly on T, from one table of H's elements.  Nothing here is
+    dense: SpectralEvolver makes dense only the block of the sector it
+    diagonalises.
     """
     basis = TruncatedBasis(cutoff, cutoff)
-    return (basis, *_assemble(params, basis, cutoff, linear_drive))
+    return (basis, *_assemble(params, basis, linear_drive))
 
 
 def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):

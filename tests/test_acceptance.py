@@ -59,8 +59,7 @@ def test_criterion_2_triple_path_agreement():
         bi.covariance_measure_from_state(bi.binomial_state(p, tk)) for tk in t
     ])
     y_transport = hb.covariance_series(p, t)
-    basis = fock.TruncatedBasis(n, n)
-    h = fock.build_hamiltonian(p, basis)
+    basis, h, _ = fock.truncation(p, n)
     psi0 = fock.fock_state(basis, n, 0)
     ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
     y_oracle = np.array([
@@ -199,12 +198,12 @@ def test_criterion_8_fluctuation_contrast():
         cv = {}
         for lam in (0.001, 0.05):
             p = ModelParams(1.0, lam, 0.3, 5)
-            ens = fl.run_ensemble(p, 0.3, n_trials=10, master_seed=seed)
+            ens = fl.ensemble_of(p, fl.draw_schedules(0.3, n_trials=10, master_seed=seed))
             cv[lam] = fl.spread_statistics(ens)[1]
         wins += cv[0.001] > cv[0.05]
         for lam in (0.001, 0.05):
             p = ModelParams(1.0, lam, 0.001, 5)
-            ens = fl.run_ensemble(p, 0.001, n_trials=10, master_seed=seed)
+            ens = fl.ensemble_of(p, fl.draw_schedules(0.001, n_trials=10, master_seed=seed))
             weak_cvs.append(fl.spread_statistics(ens)[1])
     weak_max = max(weak_cvs)
     report(
@@ -218,9 +217,8 @@ def test_criterion_8_fluctuation_contrast():
 def test_criterion_9_linear_drive_insensitivity():
     n, lam = 5, 0.1
     p = ModelParams(1.0, lam, 0.0, n)
-    basis = fock.TruncatedBasis(40, 12)
-    h0 = fock.build_hamiltonian(p, basis)
-    h1 = fock.build_hamiltonian(p, basis, linear_drive=0.1)
+    basis, h0, _ = fock.truncation(p, 40)
+    _, h1, _ = fock.truncation(p, 40, linear_drive=0.1)
     psi0 = fock.fock_state(basis, n, 0)
     ev0 = fock.SpectralEvolver(h0, fock.reachable_sector(h0, psi0))
     ev1 = fock.SpectralEvolver(h1, fock.reachable_sector(h1, psi0))

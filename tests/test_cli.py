@@ -261,6 +261,15 @@ class TestCliEndToEnd:
         np.testing.assert_allclose(rows, np.loadtxt(reference.splitlines()[1:], delimiter=","),
                                    rtol=0.0, atol=1e-12)
 
+    def test_fig2_at_twenty_thousand_photons_is_finite(self, capsys):
+        # the binomials are one running exact product, not one math.comb each
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(["fig2", "--n-initial", "20000", "--points", "11"], capsys)
+        assert code == 0
+        rows = np.loadtxt(out.splitlines()[1:], delimiter=",")
+        assert rows.shape == (11, 3) and np.isfinite(rows).all()
+
     def test_overflowing_physical_time_is_refused(self, tmp_path, capsys):
         # pi / lambda overflows at a subnormal lambda: fig2 used to write nan in Y and S
         out = tmp_path / "fig2.csv"

@@ -178,16 +178,17 @@ def test_an_empty_list_setting_is_refused_by_name(table, setting):
 
 def test_fig6_draws_each_trial_schedule_once_for_every_lambda(monkeypatch):
     draws = []
-    sample = fluctuations.sample_schedule
-    monkeypatch.setattr(fluctuations, "sample_schedule",
-                        lambda *args, **kwargs: draws.append(args) or sample(*args, **kwargs))
+    seed = fluctuations.trial_seed
+    monkeypatch.setattr(fluctuations, "trial_seed",
+                        lambda *args: draws.append(args) or seed(*args))
     lambdas = (0.001, 0.02, 0.05)
     columns, _ = figures.fig6(lambdas=lambdas, n_trials=3, n_segments=12, total_scaled_time=1.0,
                               master_seed=7)
-    assert len(draws) == 3
-    # the shared draw is the one run_ensemble makes at each lambda on its own
+    assert draws == [(7, 0), (7, 1), (7, 2)]
+    # the shared draw is the one each lambda's ensemble makes on its own
+    batch = fluctuations.draw_schedules(0.3, n_trials=3, master_seed=7, n_segments=12,
+                                        total_scaled_time=1.0)
     for lam in lambdas:
-        ens = fluctuations.run_ensemble(ModelParams(1.0, lam, 0.3, 5), 0.3, n_trials=3,
-                                        master_seed=7, n_segments=12, total_scaled_time=1.0)
+        ens = fluctuations.ensemble_of(ModelParams(1.0, lam, 0.3, 5), batch)
         for k in range(3):
             assert np.array_equal(columns[f"Y_lam{lam:g}_trial{k + 1}"], ens.trials[k])

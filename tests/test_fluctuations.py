@@ -12,49 +12,62 @@ from cavityent.params import ModelParams, covariance_measure, to_physical_time
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0])
 
 
+def _trial(mean, master_seed, **kwargs):
+    """Trial 0 of a drawn batch, as a schedule of its own."""
+    batch = fl.draw_schedules(mean, n_trials=1, master_seed=master_seed, **kwargs)
+    return replace(batch, values=batch.values[0])
+
+
 class TestSampleSchedule:
     def test_deterministic_for_fixed_seed(self):
-        a = fl.sample_schedule(0.3, seed=42)
-        b = fl.sample_schedule(0.3, seed=42)
+        a = fl.draw_schedules(0.3, n_trials=3, master_seed=42)
+        b = fl.draw_schedules(0.3, n_trials=3, master_seed=42)
         assert np.array_equal(a.values, b.values)
 
     def test_seed_changes_values(self):
-        a = fl.sample_schedule(0.3, seed=1)
-        b = fl.sample_schedule(0.3, seed=2)
+        a = fl.draw_schedules(0.3, n_trials=1, master_seed=1)
+        b = fl.draw_schedules(0.3, n_trials=1, master_seed=2)
         assert not np.array_equal(a.values, b.values)
 
     def test_zero_mean_gives_zero_schedule(self):
-        sched = fl.sample_schedule(0.0, seed=7)
-        assert np.array_equal(sched.values, np.zeros(100))
+        sched = fl.draw_schedules(0.0, n_trials=2, master_seed=7)
+        assert np.array_equal(sched.values, np.zeros((2, 100)))
 
     def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            fl.sample_schedule(-0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            fl.draw_schedules(-0.1)
 
     def test_unknown_spread_rejected(self):
-        with pytest.raises(ValueError):
-            fl.sample_schedule(0.1, spread="sigma")
+        with pytest.raises(ValueError, match="unknown spread mode 'sigma'"):
+            fl.draw_schedules(0.1, spread="sigma")
 
     def test_law_of_large_numbers_std_mode(self):
         # sample mean of 1e5 draws lands within 5 standard errors
-        sched = fl.sample_schedule(0.3, n_segments=100_000, seed=11, spread="std")
+        sched = _trial(0.3, 11, n_segments=100_000, spread="std")
         sigma = 0.03
         assert abs(sched.values.mean() - 0.3) < 5 * sigma / np.sqrt(100_000)
         assert sched.values.std() == pytest.approx(sigma, rel=0.02)
 
     def test_variance_mode_scale(self):
-        sched = fl.sample_schedule(0.1, n_segments=100_000, seed=11, spread="variance")
+        sched = _trial(0.1, 11, n_segments=100_000, spread="variance")
         assert sched.values.std() ** 2 == pytest.approx(0.01, rel=0.02)
 
     def test_segment_duration(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        sched = fl.sample_schedule(0.1, n_segments=100, total_scaled_time=5.0)
+        sched = fl.draw_schedules(0.1, n_segments=100, total_scaled_time=5.0)
         assert sched.segment_duration(p) == pytest.approx(to_physical_time(5.0, p) / 100)
 
     def test_segment_duration_rejects_uncoupled_cavities(self):
-        sched = fl.sample_schedule(0.1, n_segments=10)
+        sched = fl.draw_schedules(0.1, n_segments=10)
         with pytest.raises(ValueError, match="uncoupled"):
             sched.segment_duration(ModelParams(1.0, 0.0, 0.0, 5))
+
+    @pytest.mark.parametrize("spread, sigma", [("std", 0.03), ("variance", np.sqrt(0.03))])
+    def test_row_k_draws_from_its_trial_seed(self, spread, sigma):
+        sched = fl.draw_schedules(0.3, n_trials=4, master_seed=5, n_segments=7, spread=spread)
+        for k, row in enumerate(sched.values):
+            expected = np.random.default_rng(fl.trial_seed(5, k)).normal(0.3, sigma, 7)
+            assert np.array_equal(row, expected)
 
 
 class TestPropagatePiecewise:
@@ -93,7 +106,7 @@ class TestPropagatePiecewise:
     def test_cumulative_symplectic_drift_small(self):
         # 100 compositions should not accumulate appreciable group error
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        sched = fl.sample_schedule(0.1, n_segments=100, seed=3)
+        sched = _trial(0.1, 3, n_segments=100)
         dt = sched.segment_duration(p)
         s_total = np.eye(4, dtype=complex)
         for eps_k in sched.values:
@@ -106,7 +119,7 @@ class TestPropagatePiecewise:
         # u u^dag - v v^dag = I and u v^T - v u^T = 0 (S SIGMA S^dag = SIGMA
         # and the commutators [a, b] = 0 of the evolved fields)
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        sched = fl.sample_schedule(0.1, n_segments=100, seed=3)
+        sched = _trial(0.1, 3, n_segments=100)
         # all 100 segments fall in one block: rows from one _rows call, as
         # propagate_piecewise builds them, then composed one segment at a time
         assert sched.n_segments <= fl.BLOCK_CELLS
@@ -121,7 +134,7 @@ class TestPropagatePiecewise:
 
     def test_y_bounded(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        sched = fl.sample_schedule(0.3, seed=5)
+        sched = _trial(0.3, 5)
         _, y = fl.propagate_piecewise(p, sched)
         assert y.min() >= 0.0 and y.max() < 1.0
 
@@ -129,7 +142,7 @@ class TestPropagatePiecewise:
         # small lambda + strong pump: individual segments cross the
         # instability threshold; rescaling must keep Y finite and bounded
         p = ModelParams(1.0, 0.001, 0.0, 5)
-        sched = fl.sample_schedule(0.6, seed=9)
+        sched = _trial(0.6, 9)
         _, y = fl.propagate_piecewise(p, sched)
         assert np.all(np.isfinite(y))
         assert y.max() <= 1.0 + 1e-12
@@ -159,7 +172,7 @@ class TestPropagatePiecewise:
         # the rescaled batch's worst gap, 6.6e-13, is scipy's expm on unstable
         # segments: on trial 2 the carried pair meets a 40-digit expm to 2.2e-16
         p = ModelParams(1.0, lam, 0.0, 5)
-        sched = _stacked([fl.sample_schedule(mean, seed=fl.trial_seed(3, k)) for k in range(5)])
+        sched = fl.draw_schedules(mean, n_trials=5, master_seed=3)
         _, y = fl.propagate_piecewise(p, sched)
         reference, rescaled = zip(*(_congruence_y(p, row, sched.segment_duration(p))
                                     for row in sched.values))
@@ -173,7 +186,7 @@ class TestBlocks:
         # 300 trials put 13 segments in a block: 100 segments are 7 whole
         # blocks and a partial one of 9
         p = ModelParams(1.0, lam, 0.0, 5)
-        sched = _stacked([fl.sample_schedule(mean, seed=fl.trial_seed(4, k)) for k in range(300)])
+        sched = fl.draw_schedules(mean, n_trials=300, master_seed=4)
         per_block = fl.BLOCK_CELLS // 300
         assert sched.n_segments // per_block >= 3 and sched.n_segments % per_block
         y, log_scale = _per_segment_y(p, sched)
@@ -221,8 +234,7 @@ _OVERFLOW_PARAMS = ModelParams(1.0, 0.001, 0.6, 5)
 
 
 def _overflow_schedule(total_scaled_time):
-    return _stacked([fl.sample_schedule(0.6, 100, total_scaled_time, seed=fl.trial_seed(3, k))
-                     for k in range(5)])
+    return fl.draw_schedules(0.6, n_trials=5, master_seed=3, total_scaled_time=total_scaled_time)
 
 
 def _initial_moments(n):
@@ -249,20 +261,14 @@ def _congruence_y(p, values, dt):
     return y, log_scale > 0.0
 
 
-def _stacked(schedules):
-    first = schedules[0]
-    values = np.stack([sched.values for sched in schedules])
-    return fl.FluctuationSchedule(first.total_scaled_time, values)
-
-
 class TestBatchedPropagation:
     def test_rows_equal_single_schedule_runs(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        singles = [fl.sample_schedule(0.3, n_segments=30, seed=k) for k in range(4)]
-        t_batch, y_batch = fl.propagate_piecewise(p, _stacked(singles))
+        batch = fl.draw_schedules(0.3, n_trials=4, n_segments=30)
+        t_batch, y_batch = fl.propagate_piecewise(p, batch)
         assert y_batch.shape == (4, 31) and y_batch.flags.c_contiguous
-        for sched, row in zip(singles, y_batch):
-            t_single, y_single = fl.propagate_piecewise(p, sched)
+        for values, row in zip(batch.values, y_batch):
+            t_single, y_single = fl.propagate_piecewise(p, replace(batch, values=values))
             assert np.array_equal(t_single, t_batch)
             assert np.array_equal(row, y_single)
 
@@ -270,9 +276,10 @@ class TestBatchedPropagation:
         # mean 0.6 at lambda = 0.001 crosses the instability threshold and
         # rescales; mean 0.3 stays stable and is never rescaled
         p = ModelParams(1.0, 0.001, 0.0, 5)
-        unstable = fl.sample_schedule(0.6, seed=9)
-        stable = fl.sample_schedule(0.3, seed=9)
-        _, y_batch = fl.propagate_piecewise(p, _stacked([unstable, stable]))
+        unstable = _trial(0.6, 9)
+        stable = _trial(0.3, 9)
+        both = replace(unstable, values=np.stack([unstable.values, stable.values]))
+        _, y_batch = fl.propagate_piecewise(p, both)
         _, y_unstable = fl.propagate_piecewise(p, unstable)
         _, y_stable = fl.propagate_piecewise(p, stable)
         assert np.array_equal(y_batch[0], y_unstable)
@@ -289,33 +296,41 @@ class TestBatchedPropagation:
 
     def test_ensemble_trials_equal_per_trial_runs(self):
         p = ModelParams(1.0, 0.05, 0.3, 5)
-        ens = fl.run_ensemble(p, 0.3, n_trials=3, master_seed=21, n_segments=20,
-                              total_scaled_time=2.0)
+        ens = fl.ensemble_of(p, fl.draw_schedules(0.3, n_trials=3, master_seed=21, n_segments=20,
+                                                  total_scaled_time=2.0))
         for k, row in enumerate(ens.trials):
-            sched = fl.sample_schedule(0.3, 20, 2.0, seed=fl.trial_seed(21, k))
+            values = np.random.default_rng(fl.trial_seed(21, k)).normal(0.3, 0.03, 20)
+            sched = fl.FluctuationSchedule(2.0, values)
             assert np.array_equal(row, fl.propagate_piecewise(p, sched)[1])
 
 
 class TestRunEnsemble:
     def test_bit_identical_reruns(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        a = fl.run_ensemble(p, 0.1, n_trials=4, master_seed=77)
-        b = fl.run_ensemble(p, 0.1, n_trials=4, master_seed=77)
+        a = fl.ensemble_of(p, fl.draw_schedules(0.1, n_trials=4, master_seed=77))
+        b = fl.ensemble_of(p, fl.draw_schedules(0.1, n_trials=4, master_seed=77))
         assert np.array_equal(a.trials, b.trials)
 
     def test_trials_are_independent(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        result = fl.run_ensemble(p, 0.3, n_trials=3, master_seed=1)
+        result = fl.ensemble_of(p, fl.draw_schedules(0.3, n_trials=3, master_seed=1))
         assert not np.array_equal(result.trials[0], result.trials[1])
 
     def test_zero_trials_rejected(self):
-        p = ModelParams(1.0, 0.05, 0.0, 5)
-        with pytest.raises(ValueError):
-            fl.run_ensemble(p, 0.1, n_trials=0)
+        with pytest.raises(ValueError, match="at least one trial"):
+            fl.draw_schedules(0.1, n_trials=0)
+
+    def test_params_epsilon_is_not_read(self):
+        # the schedules are the pump
+        batch = fl.draw_schedules(0.3, n_trials=3, master_seed=12345)
+        unpumped = fl.ensemble_of(ModelParams(1.0, 0.05, 0.0, 5), batch)
+        pumped = fl.ensemble_of(ModelParams(1.0, 0.05, 0.45, 5), batch)
+        assert np.array_equal(unpumped.trials, pumped.trials)
 
     def test_mean_zero_pump_has_zero_spread(self):
         p = ModelParams(1.0, 0.1, 0.0, 5)
-        result = fl.run_ensemble(p, 0.0, n_trials=3, master_seed=0, total_scaled_time=1.0)
+        result = fl.ensemble_of(p, fl.draw_schedules(0.0, n_trials=3, master_seed=0,
+                                                     total_scaled_time=1.0))
         # identical trials; anything above mean-subtraction rounding fails
         assert result.std.max() < 1e-15
         assert result.cv.max() < 1e-15
@@ -326,8 +341,8 @@ class TestRunEnsemble:
         # every time, and the weak-pump spread is tiny
         p = ModelParams(1.0, 0.001, 0.0, 5)
         for seed in range(5):
-            strong = fl.run_ensemble(p, 0.3, n_trials=6, master_seed=seed)
-            weak = fl.run_ensemble(p, 0.001, n_trials=6, master_seed=seed)
+            strong = fl.ensemble_of(p, fl.draw_schedules(0.3, n_trials=6, master_seed=seed))
+            weak = fl.ensemble_of(p, fl.draw_schedules(0.001, n_trials=6, master_seed=seed))
             _, cv_strong = fl.spread_statistics(strong)
             _, cv_weak = fl.spread_statistics(weak)
             assert cv_strong > cv_weak
@@ -337,13 +352,15 @@ class TestRunEnsemble:
 class TestSpreadStatistics:
     def test_single_trial_rejected(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        result = fl.run_ensemble(p, 0.1, n_trials=1, master_seed=0, total_scaled_time=1.0)
+        result = fl.ensemble_of(p, fl.draw_schedules(0.1, n_trials=1, master_seed=0,
+                                                     total_scaled_time=1.0))
         with pytest.raises(ValueError):
             fl.spread_statistics(result)
 
     def test_returns_max_over_time(self):
         p = ModelParams(1.0, 0.05, 0.0, 5)
-        result = fl.run_ensemble(p, 0.1, n_trials=4, master_seed=0, total_scaled_time=1.0)
+        result = fl.ensemble_of(p, fl.draw_schedules(0.1, n_trials=4, master_seed=0,
+                                                     total_scaled_time=1.0))
         max_std, max_cv = fl.spread_statistics(result)
         assert max_std == result.std.max()
         assert max_cv == result.cv.max()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -38,8 +39,8 @@ def _dense(h):
 class TestHamiltonian:
     def test_diagonal_counts_photons(self):
         p = ModelParams(1.3, 0.0, 0.0, 0)
-        basis = fock.TruncatedBasis(3, 3)
-        h = _dense(fock.build_hamiltonian(p, basis))
+        basis, h, _ = fock.truncation(p, 6)
+        h = _dense(h)
         for n_a in range(4):
             for n_b in range(4):
                 i = basis.index(n_a, n_b)
@@ -48,8 +49,8 @@ class TestHamiltonian:
     def test_hopping_element(self):
         # <n_a - 1, n_b + 1| H |n_a, n_b> = lam sqrt(n_a (n_b + 1))
         p = ModelParams(1.0, 0.1, 0.0, 0)
-        basis = fock.TruncatedBasis(5, 5)
-        h = _dense(fock.build_hamiltonian(p, basis))
+        basis, h, _ = fock.truncation(p, 4)
+        h = _dense(h)
         i = basis.index(3, 1)
         j = basis.index(2, 2)
         assert h[j, i] == pytest.approx(0.1 * math.sqrt(3 * 2))
@@ -57,27 +58,70 @@ class TestHamiltonian:
     def test_pump_element(self):
         # <n_a + 2, n_b| H |n_a, n_b> = eps sqrt((n_a + 1)(n_a + 2))
         p = ModelParams(1.0, 0.0, 0.2, 0)
-        basis = fock.TruncatedBasis(6, 2)
-        h = _dense(fock.build_hamiltonian(p, basis))
+        basis, h, _ = fock.truncation(p, 4)
+        h = _dense(h)
         i = basis.index(1, 1)
         j = basis.index(3, 1)
         assert h[j, i] == pytest.approx(0.2 * math.sqrt(2 * 3))
 
     def test_drive_element(self):
-        basis = fock.TruncatedBasis(4, 1)
         p = ModelParams(1.0, 0.0, 0.0, 0)
-        h = _dense(fock.build_hamiltonian(p, basis, linear_drive=0.05))
+        basis, h, _ = fock.truncation(p, 2, linear_drive=0.05)
+        h = _dense(h)
         i = basis.index(1, 0)
         j = basis.index(2, 0)
         assert h[j, i] == pytest.approx(0.05 * math.sqrt(2))
 
     def test_symmetric(self):
         p = ModelParams(1.0, 0.1, 0.1, 0)
-        basis = fock.TruncatedBasis(8, 8)
-        h = fock.build_hamiltonian(p, basis, linear_drive=0.02)
+        _, h, _ = fock.truncation(p, 8, linear_drive=0.02)
         dense = _dense(h)
         assert np.count_nonzero(dense) == h.values.size  # every stored entry is a nonzero
         assert np.array_equal(dense, dense.T)
+
+    @pytest.mark.parametrize("cutoff", [3, 8])
+    def test_truncation_splits_an_independent_dense_h(self, cutoff):
+        # h is P H P and leak is Q H P, P onto T = {n_a + n_b <= K}: together
+        # every nonzero element of H out of T, none lost and none stored twice
+        p = ModelParams(1.3, 0.1, 0.2, 0)
+        drive = 0.05
+        states, dense = _analytic_hamiltonian(p, drive, cutoff + 2)  # holds all of Q H P
+        in_t = [sum(s) <= cutoff for s in states]
+        expected = {"h": {}, "leak": {}}
+        for (i, to), (j, source) in itertools.product(enumerate(states), repeat=2):
+            if in_t[j] and dense[i, j] != 0.0:
+                expected["h" if in_t[i] else "leak"][to, source] = dense[i, j]
+        _, h, leak = fock.truncation(p, cutoff, linear_drive=drive)
+        for name, m in (("h", h), ("leak", leak)):
+            keys = [(divmod(int(r), cutoff + 1), divmod(int(c), cutoff + 1))
+                    for r, c in zip(m.rows, m.cols)]
+            assert len(set(keys)) == len(keys), f"{name} stores an element twice"
+            assert dict(zip(keys, m.values.tolist())) == pytest.approx(expected[name], rel=1e-15)
+
+
+def _analytic_hamiltonian(p, drive, box):
+    """(states, H): H dense on the box n_a, n_b <= box, one written element at a time.
+
+    H[i, j] = <states[i]| H |states[j]>, every term and its transpose
+    written out; an element that leaves the box is dropped.
+    """
+    states = list(itertools.product(range(box + 1), repeat=2))
+    where = {s: k for k, s in enumerate(states)}
+    dense = np.zeros((len(states), len(states)))
+    for (n_a, n_b), j in where.items():
+        elements = {
+            (n_a, n_b): p.omega * (n_a + n_b),
+            (n_a + 1, n_b - 1): p.lam * math.sqrt((n_a + 1) * n_b),    # a^dag b
+            (n_a - 1, n_b + 1): p.lam * math.sqrt(n_a * (n_b + 1)),    # a b^dag
+            (n_a + 2, n_b): p.epsilon * math.sqrt((n_a + 1) * (n_a + 2)),  # a^dag^2
+            (n_a - 2, n_b): p.epsilon * math.sqrt(n_a * (n_a - 1)),    # a^2
+            (n_a + 1, n_b): drive * math.sqrt(n_a + 1),                # a^dag
+            (n_a - 1, n_b): drive * math.sqrt(n_a),                    # a
+        }
+        for to, value in elements.items():
+            if to in where:
+                dense[where[to], j] = value
+    return states, dense
 
 
 def _evolve(psi0, h, t):
@@ -89,15 +133,13 @@ def _evolve(psi0, h, t):
 class TestEvolution:
     def test_identity_at_t0(self):
         p = ModelParams(1.0, 0.1, 0.1, 2)
-        basis = fock.TruncatedBasis(10, 10)
-        h = fock.build_hamiltonian(p, basis)
+        basis, h, _ = fock.truncation(p, 10)
         psi0 = fock.fock_state(basis, 2, 0)
         np.testing.assert_allclose(_evolve(psi0, h, 0.0), psi0, atol=1e-14)
 
     def test_norm_preserved(self):
         p = ModelParams(1.0, 0.08, 0.06, 3)
-        basis = fock.TruncatedBasis(24, 24)
-        h = fock.build_hamiltonian(p, basis)
+        basis, h, _ = fock.truncation(p, 24)
         psi = _evolve(fock.fock_state(basis, 3, 0), h, 40.0)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
@@ -107,8 +149,7 @@ class TestEvolution:
         # mode-local phase convention, so magnitudes are compared
         N, lam = 5, 0.1
         p = ModelParams(1.0, lam, 0.0, N)
-        basis = fock.TruncatedBasis(N, N)
-        h = fock.build_hamiltonian(p, basis)
+        basis, h, _ = fock.truncation(p, N)
         psi0 = fock.fock_state(basis, N, 0)
         for s in (0.1, 0.25, 0.4, 0.75):
             t = to_physical_time(s, p)
@@ -123,8 +164,7 @@ class TestEvolution:
 
     def test_spectral_evolver_batch_matches_single(self):
         p = ModelParams(1.0, 0.1, 0.05, 2)
-        basis = fock.TruncatedBasis(16, 16)
-        h = fock.build_hamiltonian(p, basis)
+        basis, h, _ = fock.truncation(p, 16)
         psi0 = fock.fock_state(basis, 2, 0)
         ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
         times = np.array([0.0, 3.0, 17.0])
@@ -146,30 +186,29 @@ def _full_basis_states(h, psi0, times):
 
 class TestSectorEvolver:
     @pytest.mark.parametrize(
-        "eps, drive, cutoffs, in_sector",
+        "eps, drive, cutoff, in_sector",
         [
-            (0.1, 0.0, (16, 16), lambda shell: shell % 2 == 1),
-            (0.1, 0.0, (24, 24), lambda shell: shell % 2 == 1),
-            (0.0, 0.0, (12, 12), lambda shell: shell == 5),
-            (0.0, 0.05, (16, 8), lambda shell: shell >= 0),
+            (0.1, 0.0, 16, lambda shell: shell % 2 == 1),
+            (0.1, 0.0, 24, lambda shell: shell % 2 == 1),
+            (0.0, 0.0, 12, lambda shell: shell == 5),
+            (0.0, 0.05, 16, lambda shell: shell >= 0),
         ],
         ids=["pumped-16", "pumped-24", "pump-free", "linear-drive"],
     )
-    def test_matches_full_basis_eigh(self, eps, drive, cutoffs, in_sector):
+    def test_matches_full_basis_eigh(self, eps, drive, cutoff, in_sector):
         p = ModelParams(1.0, 0.1, eps, 5)
-        basis = fock.TruncatedBasis(*cutoffs)
-        h = fock.build_hamiltonian(p, basis, linear_drive=drive)
+        basis, h, _ = fock.truncation(p, cutoff, linear_drive=drive)
         psi0 = fock.fock_state(basis, 5, 0)
         ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
-        np.testing.assert_array_equal(ev.sector, in_sector(_shell(basis)))
+        shell = _shell(basis)  # the sector lies in T = {shell <= cutoff}: a drive reaches all of T
+        np.testing.assert_array_equal(ev.sector, in_sector(shell) & (shell <= cutoff))
         times = to_physical_time(np.array([0.1, 0.37, 1.0]), p)
         np.testing.assert_allclose(
             ev.at_times(psi0, times), _full_basis_states(h, psi0, times), rtol=0, atol=1e-12
         )
 
     def test_stored_zero_couplings_do_not_join_sectors(self):
-        basis = fock.TruncatedBasis(10, 10)
-        h = fock.build_hamiltonian(ModelParams(1.0, 0.1, 0.1, 5), basis)
+        basis, h, _ = fock.truncation(ModelParams(1.0, 0.1, 0.1, 5), 10)
         shell = _shell(basis)
         h.values[shell[h.rows] != shell[h.cols]] = 0.0
         assert 0 < np.count_nonzero(h.values) < h.values.size
@@ -177,8 +216,7 @@ class TestSectorEvolver:
         np.testing.assert_array_equal(sector, shell == 5)
 
     def test_state_outside_sector_rejected(self):
-        basis = fock.TruncatedBasis(10, 10)
-        h = fock.build_hamiltonian(ModelParams(1.0, 0.1, 0.1, 5), basis)
+        basis, h, _ = fock.truncation(ModelParams(1.0, 0.1, 0.1, 5), 10)
         ev = fock.SpectralEvolver(h, fock.reachable_sector(h, fock.fock_state(basis, 5, 0)))
         mixed = (fock.fock_state(basis, 5, 0) + fock.fock_state(basis, 4, 0)) / math.sqrt(2.0)
         with pytest.raises(ValueError, match="outside"):
@@ -188,8 +226,7 @@ class TestSectorEvolver:
 
     def test_non_invariant_sector_raises(self):
         # the pump couples neighbouring photon-number shells
-        basis = fock.TruncatedBasis(10, 10)
-        h = fock.build_hamiltonian(ModelParams(1.0, 0.1, 0.1, 5), basis)
+        basis, h, _ = fock.truncation(ModelParams(1.0, 0.1, 0.1, 5), 10)
         with pytest.raises(ValueError, match="not invariant"):
             fock.SpectralEvolver(h, _shell(basis) == 5)
 
@@ -206,8 +243,7 @@ class TestObservables:
     def test_peak_measure_pump_free(self):
         N, lam = 5, 0.1
         p = ModelParams(1.0, lam, 0.0, N)
-        basis = fock.TruncatedBasis(N, N)
-        h = fock.build_hamiltonian(p, basis)
+        basis, h, _ = fock.truncation(p, N)
         t = to_physical_time(0.25, p)
         obs = fock.observables(_evolve(fock.fock_state(basis, N, 0), h, t), basis)
         assert obs["Y"] == pytest.approx(N / (math.sqrt(2.0) * (N + 1)), abs=1e-10)
@@ -226,9 +262,8 @@ class TestObservables:
         # classical drive term must not move Y
         N, lam = 3, 0.1
         p = ModelParams(1.0, lam, 0.0, N)
-        basis = fock.TruncatedBasis(40, 12)
-        h0 = fock.build_hamiltonian(p, basis)
-        h1 = fock.build_hamiltonian(p, basis, linear_drive=0.3)
+        basis, h0, _ = fock.truncation(p, 40)
+        _, h1, _ = fock.truncation(p, 40, linear_drive=0.3)
         psi0 = fock.fock_state(basis, N, 0)
         for s in (0.1, 0.25, 0.6):
             t = to_physical_time(s, p)
@@ -246,8 +281,7 @@ class TestEntropy:
     def test_peak_entropy_matches_binomial_spectrum(self):
         N, lam = 5, 0.1
         p = ModelParams(1.0, lam, 0.0, N)
-        basis = fock.TruncatedBasis(N, N)
-        h = fock.build_hamiltonian(p, basis)
+        basis, h, _ = fock.truncation(p, N)
         t = to_physical_time(0.25, p)
         psi = _evolve(fock.fock_state(basis, N, 0), h, t)
         s = fock.reduced_entropy(psi, basis)
