@@ -18,6 +18,10 @@ FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
 FIG5_LAMBDAS = (0.001, 0.005, 0.01, 0.05, 0.1)
 FIG6_LAMBDAS = (0.001, 0.05)
+# (epsilon, time) points fig5 evaluates in one covariance_series call: a few
+# cells of the CSV prefix per block, so each pool task outweighs its numpy
+# call overheads, and one cell of the JSON run's longer grid
+BLOCK = 32768
 # glibc mallopt parameters and the values _scan pins: the mmap threshold at
 # the 32 MiB ceiling of glibc's own dynamic rule, and no trimming of a free
 # heap top below 256 MiB
@@ -127,10 +131,14 @@ def fig5(
 
     The (lambda, epsilon) cells run on `_scan`'s thread pool, one thread
     per CPU in the process's affinity mask (`taskset -c 0` gives a one-core
-    run), each thread one whole cell at a time.  Every cell is computed
-    alone, so the output is byte-identical for any CPU count.  A cell whose
-    Y is not finite on the evaluated grid is refused by
-    `heisenberg.covariance_series`.
+    run), in blocks: a block is a run of consecutive epsilons of one lambda,
+    at most max(1, BLOCK // prefix points) of them, that share a propagator
+    path (`heisenberg.paths`), evaluated by one `covariance_series` call
+    with epsilon shaped (k, 1).  Each cell of a block gets the bits it
+    would get alone, and every block is computed alone, so the output is
+    byte-identical for any CPU count.  A cell whose Y is not finite on the
+    evaluated grid is refused by `heisenberg.covariance_series`, the first
+    such cell in cell order at its first non-finite time.
     """
     labels = _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")
     eps_grid = np.linspace(0.0, eps_max, eps_points)
@@ -140,15 +148,21 @@ def fig5(
     t_scaled = np.linspace(0.0, longest, n_t)
     returned = windows if sensitivity else [window_scaled]
     ends = np.searchsorted(t_scaled, returned, side="right")
-    cells = [validate(ModelParams(omega, lam, float(eps), n_initial))
-             for lam in lambdas for eps in eps_grid]
+    # ends is ascending, so the last is the prefix every returned window needs
+    per_block = max(1, BLOCK // ends[-1])
+    blocks = []
+    for lam in lambdas:
+        for eps in eps_grid:
+            validate(ModelParams(omega, lam, float(eps), n_initial))
+        paths = heisenberg.paths(heisenberg.spectral(ModelParams(omega, lam, eps_grid)))
+        blocks += [ModelParams(omega, lam, eps_grid[run][:, None], n_initial)
+                   for run in _runs(paths, per_block)]
 
     def window_maxima(params, t):
         y = heisenberg.covariance_series(params, t)
-        return [y[:end].max() for end in ends]
+        return np.stack([y[:, :end].max(axis=1) for end in ends], axis=1)
 
-    # ends is ascending, so the last is the prefix every returned window needs
-    maxima = np.array(_scan(window_maxima, cells, t_scaled[:ends[-1]]))
+    maxima = np.concatenate(_scan(window_maxima, blocks, t_scaled[:ends[-1]]))
     columns = {"epsilon": eps_grid}
     scans = {}
     for label, scan in zip(labels, maxima.reshape(len(lambdas), eps_points, len(returned))):
@@ -166,6 +180,14 @@ def fig5(
     return columns, meta
 
 
+def _runs(labels, longest):
+    """Slices that cut labels into runs of equal consecutive labels, each at most longest long."""
+    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1), len(labels)]
+    return [slice(start, min(start + longest, end))
+            for begin, end in zip(cuts, cuts[1:])
+            for start in range(begin, end, longest)]
+
+
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
@@ -173,33 +195,36 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _scan(series, cells, t_scaled):
-    """series(params, t) for each cell, t the physical times of t_scaled; a list in cell order.
+def _scan(series, tasks, t_scaled):
+    """series(params, t) for each task, t the physical times of t_scaled; a list in task order.
 
-    Every cell is one task on a pool of one thread per usable CPU, at most one
-    per cell; numpy releases the GIL inside its loops.  Each task builds its
-    own time grid, so only the grids in flight are held.  Results are read in
-    cell order, so the first failing cell's error propagates, after `map` has
-    cancelled the pending tasks and the pool has joined every thread.
+    A task is one cell, or for fig5 a block of cells of one lambda (epsilon
+    shaped (k, 1)).  Each is run on a pool of one thread per usable CPU, at
+    most one per task; numpy releases the GIL inside its loops, so a task
+    must be large enough that its loops, not its Python-level calls,
+    dominate.  Each task builds its own time grid, so only the grids in
+    flight are held.  Results are read in task order, so the first failing
+    task's error propagates, after `map` has cancelled the pending tasks and
+    the pool has joined every thread.
     """
     _keep_freed_heap()
 
     def task(params):
         return series(params, to_physical_time(t_scaled, params))
 
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(cells))) as pool:
-        return list(pool.map(task, cells))
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(tasks))) as pool:
+        return list(pool.map(task, tasks))
 
 
 def _keep_freed_heap():
-    """Let glibc's malloc keep the memory freed between cells for the process's life.
+    """Let glibc's malloc keep the memory freed between tasks for the process's life.
 
-    Every cell allocates and frees a few MB of temporaries.  By default glibc
+    Every task allocates and frees a few MB of temporaries.  By default glibc
     returns a free heap top past its trim threshold to the kernel and faults
-    it back in on the next cell, and with the pool's threads each return
-    also flushes the other CPU's TLB: on 2 vCPUs a configs/fig5.cfg-sized
-    scan of five lambdas took 0.44 s without this and 0.37 s with it (medians
-    of 10).  Peak memory stays that of the scan; without glibc nothing changes.
+    it back in on the next task, and with the pool's threads each return
+    also flushes the other CPU's TLB: on 2 vCPUs the configs/fig5.cfg CSV
+    scan took 0.160 s without this and 0.137 s with it (medians of 15).
+    Peak memory stays that of the scan; without glibc nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

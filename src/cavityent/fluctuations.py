@@ -128,6 +128,8 @@ def draw_schedules(mean_epsilon, n_trials=10, master_seed=0, n_segments=100,
         raise ValueError(f"unknown spread mode {spread!r}")
     if n_trials < 1:
         raise ValueError("need at least one trial")
+    if n_segments < 1:
+        raise ValueError(f"need at least one pump segment, got n_segments = {n_segments}")
     rngs = (default_rng(trial_seed(master_seed, k)) for k in range(n_trials))
     values = np.stack([rng.normal(mean_epsilon, sigma, int(n_segments)) for rng in rngs])
     return FluctuationSchedule(float(total_scaled_time), values)

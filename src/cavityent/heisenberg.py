@@ -32,6 +32,7 @@ import numpy as np
 from .params import covariance_measure, to_scaled_time
 
 DEGENERACY_TOL = 1e-10
+REAL, COMPLEX, DENSE = 0, 1, 2  # propagator paths (`paths`), each more general than the last
 
 # Pade 13 numerator coefficients b_0 .. b_13 over b_0, so that exp(0) = I
 # exactly, and the 1-norm bound theta_13 up to which the approximant is
@@ -114,10 +115,24 @@ def expm(a):
     return r.reshape(shape)
 
 
+def paths(spec_data):
+    """Each epsilon's propagator path, shaped like epsilon: REAL, COMPLEX or DENSE.
+
+    DENSE (expm) where 4B, alpha or gamma is within DEGENERACY_TOL of 0,
+    else COMPLEX where B is complex, else REAL.  The paths are ordered by
+    generality: a batch of epsilons takes the path of its most general
+    member, paths(...).max(), so a batch whose members all share one path
+    gives each member the bits it would get alone.
+    """
+    sd = spec_data
+    degenerate = np.minimum(np.minimum(np.abs(4.0 * sd.B), np.abs(sd.alpha)),
+                            np.abs(sd.gamma)) < DEGENERACY_TOL
+    return np.where(degenerate, DENSE, np.where(sd.B.imag != 0, COMPLEX, REAL))
+
+
 def _degenerate(spec_data):
-    """True where 4B, alpha or gamma is within DEGENERACY_TOL of 0 for any element."""
-    return min(np.abs(4.0 * spec_data.B).min(), np.abs(spec_data.alpha).min(),
-               np.abs(spec_data.gamma).min()) < DEGENERACY_TOL
+    """True where some epsilon takes dense expm: 4B, alpha or gamma within DEGENERACY_TOL of 0."""
+    return paths(spec_data).max() == DENSE
 
 
 def _cos_sinc(q, t):
@@ -143,8 +158,9 @@ def _rows(params, t):
     grid is shape = broadcast(epsilon, t), but with one axis of length 1 when
     that shape is (): numpy's scalar ufuncs may round differently from its
     array loops, and a scalar t must give the bits of the same t on a grid.
-    A single degenerate epsilon sends the whole batch, a block of segments in
-    the noise ensemble, to dense expm, a single complex B to complex arithmetic.
+    The batch takes the path of its most general epsilon (`paths`): a single
+    degenerate epsilon sends the whole batch, a block of segments in the
+    noise ensemble, to dense expm, a single complex B to complex arithmetic.
     """
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(np.shape(params.epsilon), t.shape)
@@ -152,10 +168,11 @@ def _rows(params, t):
         t = t[None]
     m = build_matrix(params)
     sd = spectral(params)
-    if _degenerate(sd):
+    path = paths(sd).max()
+    if path == DENSE:
         s = np.moveaxis(expm(-1j * t[..., None, None] * m)[..., :2, :], (-2, -1), (0, 1))
         return s.real, s.imag, shape
-    real = not np.any(sd.B.imag)
+    real = path == REAL
     b = sd.B.real if real else sd.B
     al2, ga2 = sd.A - 2.0 * b, sd.A + 2.0 * b
     (ca, sa), (cg, sg) = _cos_sinc(al2, t), _cos_sinc(ga2, t)

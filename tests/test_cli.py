@@ -385,10 +385,10 @@ class TestCliEndToEnd:
         assert not out.exists()
 
     def test_csv_scan_evaluates_only_the_window_prefix(self, monkeypatch, capsys):
-        lengths = []
+        lengths = []  # (epsilon, t) points per cell: a call evaluates a block of cells
         series = heisenberg.covariance_series
-        monkeypatch.setattr(heisenberg, "covariance_series",
-                            lambda params, t: lengths.append(len(t)) or series(params, t))
+        monkeypatch.setattr(heisenberg, "covariance_series", lambda params, t: (
+            lengths.extend([len(t)] * np.size(params.epsilon)) or series(params, t)))
         assert run_cli(["fig5", *_SCAN], capsys)[0] == 0
         csv_lengths = lengths[:]
         lengths.clear()

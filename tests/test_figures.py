@@ -108,24 +108,69 @@ class TestScanPool:
         for name, values in columns.items():
             assert prefix_columns[name].tobytes() == values.tobytes()
 
-    @pytest.mark.parametrize("cpus, lambdas, eps_points, threads", [
-        (64, (0.1,), 2, 2),
-        (3, (0.1, 0.01), 4, 3),
-        (1, (0.1, 0.01), 4, 1),
-    ], ids=["capped-by-cells", "capped-by-cpus", "one-cpu"])
-    def test_pool_has_one_thread_per_cpu_up_to_the_cell_count(
-            self, cpus, lambdas, eps_points, threads, monkeypatch):
-        seen = []
+    @pytest.mark.parametrize("cpus, lambdas, threads", [
+        (64, (0.1,), 2),
+        (3, (0.1, 0.01), 3),
+        (1, (0.1, 0.01), 1),
+    ], ids=["capped-by-blocks", "capped-by-cpus", "one-cpu"])
+    def test_pool_has_one_thread_per_cpu_up_to_the_block_count(
+            self, cpus, lambdas, threads, monkeypatch):
+        seen, blocks = [], []
 
         class Recording(figures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 seen.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
+        series = heisenberg.covariance_series
+        monkeypatch.setattr(heisenberg, "covariance_series", lambda params, t: (
+            blocks.append(np.broadcast_shapes(np.shape(params.epsilon), t.shape)) or
+            series(params, t)))
         monkeypatch.setattr(figures, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(figures, "ThreadPoolExecutor", Recording)
-        figures.fig5(lambdas=lambdas, eps_points=eps_points, points=101)
+        # a window prefix of BLOCK / 2 points: two cells of an epsilon column per block
+        points = figures.BLOCK // 2
+        figures.fig5(lambdas=lambdas, omega=2.0, eps_points=4, points=points, sensitivity=False)
+        assert blocks == [(2, points)] * 2 * len(lambdas)
         assert seen == [threads]
+
+    def test_a_block_never_mixes_propagator_paths(self):
+        # at lambda = omega, epsilon = 0 has alpha = 0 and takes dense expm, the
+        # other three the real closed form; one block of all four would give
+        # epsilon = 0.1 and 0.2 expm's last bits
+        scan = dict(lambdas=(1.0,), omega=1.0, eps_max=0.3, eps_points=4)
+        columns, meta = figures.fig5(**scan, sensitivity=False)
+        eps_grid = columns["epsilon"]
+        paths = heisenberg.paths(heisenberg.spectral(ModelParams(1.0, 1.0, eps_grid)))
+        assert paths.tolist() == [heisenberg.DENSE] + [heisenberg.REAL] * 3
+        t_scaled = np.linspace(0.0, 5.0, meta["points"])
+        # the 8001-point window prefix would fit all four cells in one block
+        assert figures.BLOCK // np.count_nonzero(t_scaled <= 2.0) >= len(eps_grid)
+        alone = [_serial_maxima(ModelParams(1.0, 1.0, float(eps), 5), t_scaled, [2.0])[0]
+                 for eps in eps_grid]
+        assert columns["max_Y_lam1"].tobytes() == np.array(alone).tobytes()
+
+    def test_a_block_is_refused_at_its_first_failing_epsilon(self, monkeypatch):
+        # at omega = 1, lambda = 0.01 both epsilon = 0.6 and 0.9 overflow, 0.9 first
+        # in time; both sit in one block, which names 0.6 at its own first time
+        blocks = []
+        series = heisenberg.covariance_series
+        monkeypatch.setattr(heisenberg, "covariance_series", lambda params, t: (
+            blocks.append(np.shape(params.epsilon)) or series(params, t)))
+        t_scaled = np.linspace(0.0, 5.0, 502)  # fig5's grid: int(201 * 5 / 2) points up to 5
+        alone = {}
+        for eps in (0.6, 0.9):
+            params = ModelParams(1.0, 0.01, eps, 5)
+            with pytest.raises(ValueError) as exc:
+                series(params, to_physical_time(t_scaled, params))
+            alone[eps] = str(exc.value)
+        first_time = {eps: float(message.split("first at scaled time ")[1].split(":")[0])
+                      for eps, message in alone.items()}
+        assert first_time[0.9] < first_time[0.6]
+        with pytest.raises(ValueError) as exc:
+            figures.fig5(lambdas=(0.01,), omega=1.0, eps_max=0.9, eps_points=4, points=201)
+        assert blocks == [(4, 1)]
+        assert str(exc.value) == alone[0.6]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.isdir(TASKS),
                         reason="glibc malloc on Linux only")
@@ -149,16 +194,21 @@ class TestScanPool:
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
-@pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "sweep", "oracle-check"])
-def test_pooled_json_is_identical_on_one_cpu_and_on_all(name, tmp_path):
+@pytest.mark.parametrize("name, fmt", [
+    ("fig3", "json"), ("fig4", "json"), ("fig5", "json"), ("sweep", "json"),
+    ("oracle-check", None),  # its report is JSON
+    # a CSV fig5 run evaluates the 8001-point window prefix, several cells per block
+    ("fig5", "csv"), ("sweep", "csv"),
+], ids=["fig3", "fig4", "fig5", "sweep", "oracle-check", "fig5-csv", "sweep-csv"])
+def test_pooled_json_is_identical_on_one_cpu_and_on_all(name, fmt, tmp_path):
     cpu = min(os.sched_getaffinity(0))
     env = {**os.environ, "PYTHONPATH": SRC}
-    fmt = [] if name == "oracle-check" else ["--format", "json"]  # its report is JSON
+    flags = ["--format", fmt] if fmt else []
     outputs = []
     for run, pin in (("one", lambda: os.sched_setaffinity(0, {cpu})), ("all", None)):
-        out = tmp_path / f"{run}.json"
+        out = tmp_path / f"{run}.out"
         subprocess.run([sys.executable, "-m", "cavityent.cli", name, "--config",
-                        str(CONFIGS / f"{name}.cfg"), *fmt, "--out", str(out)],
+                        str(CONFIGS / f"{name}.cfg"), *flags, "--out", str(out)],
                        env=env, preexec_fn=pin, check=True, timeout=300)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

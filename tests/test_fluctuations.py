@@ -320,6 +320,15 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="at least one trial"):
             fl.draw_schedules(0.1, n_trials=0)
 
+    @pytest.mark.parametrize("n_segments", [0, -1])
+    def test_fewer_than_one_segment_rejected(self, n_segments):
+        # 0 used to divide by zero in the segment duration, -1 to reach numpy's
+        # "negative dimensions"; neither named the segment count
+        with pytest.raises(ValueError, match=f"^need at least one pump segment, "
+                                             f"got n_segments = {n_segments}$"):
+            fl.ensemble_of(ModelParams(1, 0.05, 0, 5),
+                           fl.draw_schedules(0.3, n_trials=2, n_segments=n_segments))
+
     def test_params_epsilon_is_not_read(self):
         # the schedules are the pump
         batch = fl.draw_schedules(0.3, n_trials=3, master_seed=12345)
