@@ -39,10 +39,10 @@ def ch_coefficients(spec_data, t):
 
     heisenberg's Sylvester form regrouped over I, M, M^2 and M^3, from the
     same cos(theta t) and sin(theta t)/theta; shape (4,) + broadcast(spec_data,
-    t).  A spectrum that transport sends to dense expm is refused.
+    t).  A spectrum in which some epsilon takes dense expm is refused.
     """
     sd = spec_data
-    if heisenberg._degenerate(sd):
+    if (heisenberg.paths(sd) == heisenberg.DENSE).any():
         raise ValueError(f"degenerate spectrum, no Cayley-Hamilton coefficients: "
                          f"B = {sd.B!r}, alpha = {sd.alpha!r}, gamma = {sd.gamma!r}")
     t = np.asarray(t, dtype=float)

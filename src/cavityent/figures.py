@@ -131,21 +131,29 @@ def fig5(
 
     The (lambda, epsilon) cells run on `_scan`'s thread pool, one thread
     per CPU in the process's affinity mask (`taskset -c 0` gives a one-core
-    run), in blocks: a block is a run of consecutive epsilons of one lambda,
-    at most max(1, BLOCK // prefix points) of them, that share a propagator
-    path (`heisenberg.paths`), evaluated by one `covariance_series` call
-    with epsilon shaped (k, 1).  Each cell of a block gets the bits it
-    would get alone, and every block is computed alone, so the output is
+    run), in blocks of at most max(1, BLOCK // prefix points) consecutive
+    epsilons of one lambda, each evaluated by one `covariance_series` call
+    with epsilon shaped (k, 1).  Each cell of a block gets the bits it would
+    get alone, and every block is computed alone, so the output is
     byte-identical for any CPU count.  A cell whose Y is not finite on the
     evaluated grid is refused by `heisenberg.covariance_series`, the first
     such cell in cell order at its first non-finite time.
     """
     labels = _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")
+    if min(eps_points, points) < 1:
+        raise ValueError(f"eps_points and points must be at least 1, got {eps_points}, {points}")
+    if not (np.isfinite(window_scaled) and window_scaled > 0):
+        raise ValueError(f"window_scaled must be finite and positive, got {window_scaled}")
     eps_grid = np.linspace(0.0, eps_max, eps_points)
     windows = sorted(set([window_scaled, *sensitivity_windows]))
     longest = max(windows)
-    n_t = max(points, int(points * longest / window_scaled))
-    t_scaled = np.linspace(0.0, longest, n_t)
+    size = points * longest / window_scaled
+    try:  # n_t >= 1: numpy refuses only a grid it cannot allocate
+        n_t = max(points, int(size))
+        t_scaled = np.linspace(0.0, longest, n_t)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"window_scaled = {window_scaled:g} needs {size:.4g} time points up to "
+                         f"scaled time {longest:g}, more than numpy can allocate") from None
     returned = windows if sensitivity else [window_scaled]
     ends = np.searchsorted(t_scaled, returned, side="right")
     # ends is ascending, so the last is the prefix every returned window needs
@@ -154,9 +162,8 @@ def fig5(
     for lam in lambdas:
         for eps in eps_grid:
             validate(ModelParams(omega, lam, float(eps), n_initial))
-        paths = heisenberg.paths(heisenberg.spectral(ModelParams(omega, lam, eps_grid)))
-        blocks += [ModelParams(omega, lam, eps_grid[run][:, None], n_initial)
-                   for run in _runs(paths, per_block)]
+        blocks += [ModelParams(omega, lam, eps_grid[start:start + per_block, None], n_initial)
+                   for start in range(0, eps_points, per_block)]
 
     def window_maxima(params, t):
         y = heisenberg.covariance_series(params, t)
@@ -178,14 +185,6 @@ def fig5(
     if sensitivity:
         meta["sensitivity"] = scans
     return columns, meta
-
-
-def _runs(labels, longest):
-    """Slices that cut labels into runs of equal consecutive labels, each at most longest long."""
-    cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1), len(labels)]
-    return [slice(start, min(start + longest, end))
-            for begin, end in zip(cuts, cuts[1:])
-            for start in range(begin, end, longest)]
 
 
 def _usable_cpus():

@@ -19,14 +19,15 @@ pump noise, which would make the spread diagnostic meaningless.
 All trials of an ensemble are propagated together.  A product of
 propagators has their form [[u, v], [v*, u*]], so each trial carries the
 Bogoliubov pair (u, v) of its product so far: one `heisenberg._rows` call
-builds the rows of a block of segments, one `heisenberg.compose` per
-segment steps all trials, and Y, read once per block, comes from the same
-sums over u and v as on the transport route.  Past the instability the
-pair grows: a trial's pair is divided by its peak when that passes
-RESCALE_THRESHOLD, and the moments, quadratic in it, keep the square of
-the factor in a log scale that only Y's vacuum term needs.  The rescale
-acts between segments, so a run in which one segment grows the pair by
-more than about 1e258, out of double range, is refused naming the segment.
+builds the rows of a block of segments, each on its own propagator path,
+one `heisenberg.compose` per segment steps all trials, and Y, read once
+per block, comes from the same sums over u and v as on the transport
+route.  Past the instability the pair grows: a trial's pair is divided by
+its peak when that passes RESCALE_THRESHOLD, and the moments, quadratic
+in it, keep the square of the factor in a log scale that only Y's vacuum
+term needs.  The rescale acts between segments, so a run in which one
+segment grows the pair by more than about 1e258, out of double range, is
+refused naming the segment.
 """
 
 import math
@@ -68,8 +69,8 @@ def propagate_piecewise(params, schedule):
     The schedule is the pump: params.epsilon is not read.  Returns
     (t_scaled, y); y has one row per trial of a batched schedule, each of
     length n_segments + 1.  One `heisenberg._rows` call builds each
-    block of about BLOCK_CELLS (segment, trial) cells, so a degenerate or
-    complex-B epsilon moves its whole block to expm or complex arithmetic.
+    block of about BLOCK_CELLS (segment, trial) cells, each segment on its
+    own propagator path, so each trial's row is the bits of its own run.
     Raises ValueError when a trial's pair stops being finite within one
     segment; more segments shorten each step.
     """

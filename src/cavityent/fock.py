@@ -39,25 +39,24 @@ class ConvergenceError(RuntimeError):
 
 
 class TruncatedBasis:
-    """Two-mode Fock basis with per-mode cutoffs; flat index = n_a*(cb+1)+n_b."""
+    """Two-mode Fock box 0 <= n_a, n_b <= K, K = cutoff_a; flat index = n_a*(K+1)+n_b."""
 
-    def __init__(self, cutoff_a, cutoff_b):
-        if cutoff_a < 0 or cutoff_b < 0:
-            raise ValueError("cutoffs must be non-negative")
-        self.cutoff_a = int(cutoff_a)
-        self.cutoff_b = int(cutoff_b)
+    def __init__(self, cutoff):
+        if cutoff < 0:
+            raise ValueError("cutoff must be non-negative")
+        self.cutoff_a = int(cutoff)  # the one cutoff; perfbench's cutoff counter reads this name
 
     @property
     def dim(self):
-        return (self.cutoff_a + 1) * (self.cutoff_b + 1)
+        return (self.cutoff_a + 1) ** 2
 
     def index(self, n_a, n_b):
-        if not (0 <= n_a <= self.cutoff_a and 0 <= n_b <= self.cutoff_b):
+        if not (0 <= n_a <= self.cutoff_a and 0 <= n_b <= self.cutoff_a):
             raise IndexError(f"({n_a}, {n_b}) outside basis")
-        return n_a * (self.cutoff_b + 1) + n_b
+        return n_a * (self.cutoff_a + 1) + n_b
 
     def __repr__(self):
-        return f"TruncatedBasis({self.cutoff_a}, {self.cutoff_b})"
+        return f"TruncatedBasis({self.cutoff_a})"
 
 
 def fock_state(basis, n_a, n_b):
@@ -98,14 +97,14 @@ def _terms(params, n_a, n_b, linear_drive):
 
 
 def _assemble(params, basis, linear_drive):
-    """(h, leak) for H on the states of the square basis with n_a + n_b <= basis.cutoff_a.
+    """(h, leak) for H on the states of the basis with n_a + n_b <= K = basis.cutoff_a.
 
     h is H restricted to those states, in basis's flat index.  leak holds
-    the elements from them to the states with n_a + n_b > cutoff: its
-    columns are basis's states, its rows n_a (cutoff_b + 1) + n_b for the
-    states reached.  Zero elements are not stored.
+    the elements from them to the states with n_a + n_b > K: its columns
+    are basis's states, its rows n_a (K + 1) + n_b for the states reached.
+    Zero elements are not stored.
     """
-    total, width = basis.cutoff_a, basis.cutoff_b + 1
+    total, width = basis.cutoff_a, basis.cutoff_a + 1
     n_a, n_b = np.divmod(np.arange(basis.dim), width)
     source = np.flatnonzero(n_a + n_b <= total)
     n_a, n_b = n_a[source], n_b[source]
@@ -123,7 +122,7 @@ def _assemble(params, basis, linear_drive):
     rows, cols, values = (np.concatenate(part) for part in zip(*h))
     h = SparseMatrix(rows, cols, values, (basis.dim, basis.dim))
     rows, cols, values = (np.concatenate(part) for part in zip(*leak))
-    return h, SparseMatrix(rows, cols, values, ((basis.cutoff_a + 3) * width, basis.dim))
+    return h, SparseMatrix(rows, cols, values, ((total + 3) * width, basis.dim))
 
 
 def reachable_sector(h, state):
@@ -212,7 +211,7 @@ def _apply(m, v):
 
 def _grid(state, basis):
     state = np.asarray(state, dtype=complex)
-    return state.reshape(state.shape[:-1] + (basis.cutoff_a + 1, basis.cutoff_b + 1))
+    return state.reshape(state.shape[:-1] + (basis.cutoff_a + 1,) * 2)
 
 
 def _lower(psi_grid, axis):
@@ -282,7 +281,7 @@ def truncation(params, cutoff, linear_drive=0.0):
     dense: SpectralEvolver makes dense only the block of the sector it
     diagonalises.
     """
-    basis = TruncatedBasis(cutoff, cutoff)
+    basis = TruncatedBasis(cutoff)
     return (basis, *_assemble(params, basis, linear_drive))
 
 

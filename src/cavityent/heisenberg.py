@@ -16,23 +16,24 @@ with 4B = gamma^2 - alpha^2 and the P built once per epsilon.  For real B
 four functions real (cosh and sinh/|theta| past the parametric
 instability), so u and v come as real and imaginary parts in real
 arithmetic.  A complex B takes complex arithmetic, a degenerate spectrum
-the dense matrix exponential `expm` (Pade 13 with scaling and squaring).
-`propagators`, the moment kernel and the noise ensemble, which steps its
-pairs through them with `compose`, share this one row builder.  The
-second moments of |N,0>, short sums over u and v, are the authoritative
-route to Y; a series that overflows past the instability is refused.  The
-published structure-function formulas for the same moments, and the
-Cayley-Hamilton coefficients, live in `audit`, which never trusts them.
+the dense matrix exponential `expm` (Pade 13 with scaling and squaring),
+each epsilon its own path (`paths`) also inside a batch.  `propagators`,
+the moment kernel and the noise ensemble, which steps its pairs through
+them with `compose`, share this one row builder.  The second moments of
+|N,0>, short sums over u and v, are the authoritative route to Y; a series
+that overflows past the instability is refused.  The published
+structure-function formulas for the same moments, and the Cayley-Hamilton
+coefficients, live in `audit`, which never trusts them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .params import covariance_measure, to_scaled_time
 
 DEGENERACY_TOL = 1e-10
-REAL, COMPLEX, DENSE = 0, 1, 2  # propagator paths (`paths`), each more general than the last
+REAL, COMPLEX, DENSE = 0, 1, 2  # propagator paths (`paths`)
 
 # Pade 13 numerator coefficients b_0 .. b_13 over b_0, so that exp(0) = I
 # exactly, and the 1-norm bound theta_13 up to which the approximant is
@@ -119,20 +120,13 @@ def paths(spec_data):
     """Each epsilon's propagator path, shaped like epsilon: REAL, COMPLEX or DENSE.
 
     DENSE (expm) where 4B, alpha or gamma is within DEGENERACY_TOL of 0,
-    else COMPLEX where B is complex, else REAL.  The paths are ordered by
-    generality: a batch of epsilons takes the path of its most general
-    member, paths(...).max(), so a batch whose members all share one path
-    gives each member the bits it would get alone.
+    else COMPLEX where B is complex, else REAL.  `_rows` builds each
+    epsilon's rows on its own path.
     """
     sd = spec_data
     degenerate = np.minimum(np.minimum(np.abs(4.0 * sd.B), np.abs(sd.alpha)),
                             np.abs(sd.gamma)) < DEGENERACY_TOL
     return np.where(degenerate, DENSE, np.where(sd.B.imag != 0, COMPLEX, REAL))
-
-
-def _degenerate(spec_data):
-    """True where some epsilon takes dense expm: 4B, alpha or gamma within DEGENERACY_TOL of 0."""
-    return paths(spec_data).max() == DENSE
 
 
 def _cos_sinc(q, t):
@@ -158,21 +152,27 @@ def _rows(params, t):
     grid is shape = broadcast(epsilon, t), but with one axis of length 1 when
     that shape is (): numpy's scalar ufuncs may round differently from its
     array loops, and a scalar t must give the bits of the same t on a grid.
-    The batch takes the path of its most general epsilon (`paths`): a single
-    degenerate epsilon sends the whole batch, a block of segments in the
-    noise ensemble, to dense expm, a single complex B to complex arithmetic.
+    Each epsilon takes its own path (`paths`), so every member of a batch,
+    a fig5 cell or a noise-ensemble trial, gets the bits it would get alone.
     """
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(np.shape(params.epsilon), t.shape)
     if not shape:
         t = t[None]
-    m = build_matrix(params)
     sd = spectral(params)
-    path = paths(sd).max()
-    if path == DENSE:
+    path = paths(sd)
+    if (path != path.flat[0]).any():  # each path on the grid points whose epsilon takes it
+        eps, t, path = np.broadcast_arrays(params.epsilon, t, path)
+        re, im = np.empty((2, 2, 4) + shape)
+        for p in np.unique(path):
+            on = path == p
+            re[:, :, on], im[:, :, on], _ = _rows(replace(params, epsilon=eps[on]), t[on])
+        return re, im, shape
+    m = build_matrix(params)
+    if path.flat[0] == DENSE:
         s = np.moveaxis(expm(-1j * t[..., None, None] * m)[..., :2, :], (-2, -1), (0, 1))
         return s.real, s.imag, shape
-    real = path == REAL
+    real = path.flat[0] == REAL
     b = sd.B.real if real else sd.B
     al2, ga2 = sd.A - 2.0 * b, sd.A + 2.0 * b
     (ca, sa), (cg, sg) = _cos_sinc(al2, t), _cos_sinc(ga2, t)

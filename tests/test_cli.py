@@ -283,6 +283,16 @@ class TestCliEndToEnd:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
+    def test_a_window_too_small_for_any_grid_is_refused(self, tmp_path, capsys):
+        # the grid spans the longest sensitivity window, 5, at 8001 points per 1e-300
+        out = tmp_path / "fig5.csv"
+        code, stdout, err = run_cli(["fig5", "--window-scaled", "1e-300", "--lambdas", "0.1",
+                                     "--eps-points", "2", "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert err == ("error: window_scaled = 1e-300 needs 4e+304 time points up to "
+                       "scaled time 5, more than numpy can allocate\n")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["fig6", "--trials", "2", "--segments", "10", "--t-max-scaled", "1.0",
                 "--lambdas", "0.05", "--seed", "7"]

@@ -45,7 +45,7 @@ def _window_maxima(t_scaled, windows):
 
 class TestScanPool:
     def test_last_cell_takes_the_dense_fallback(self):
-        assert heisenberg._degenerate(heisenberg.spectral(CELLS[-1]))
+        assert heisenberg.paths(heisenberg.spectral(CELLS[-1])) == heisenberg.DENSE
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6])
     def test_pieced_maxima_equal_whole_grid_maxima(self, workers, monkeypatch):
@@ -81,6 +81,19 @@ class TestScanPool:
             "the second moments overflow; lower epsilon or end the time grid earlier"
         }
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"eps_points": 0}, r"^eps_points and points must be at least 1, got 0, 8001$"),
+        ({"points": 0}, r"^eps_points and points must be at least 1, got 2, 0$"),
+        ({"window_scaled": 0.0}, r"^window_scaled must be finite and positive, got 0\.0$"),
+        ({"window_scaled": float("nan")}, r"^window_scaled must be finite and positive, got nan$"),
+        ({"window_scaled": 1e-300}, r"^window_scaled = 1e-300 needs 4e\+304 time points up to "
+                                    r"scaled time 5, more than numpy can allocate$"),
+        ({"window_scaled": 1e-306}, r"^window_scaled = 1e-306 needs inf time points up to "),
+    ], ids=["eps_points", "points", "window-zero", "window-nan", "window-tiny", "window-overflow"])
+    def test_a_bad_scan_setting_is_refused_by_name(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            figures.fig5(**{"lambdas": (0.1,), "eps_points": 2, **setting})
 
     def test_overflow_names_the_cell_and_its_first_scaled_time(self):
         # lambda = 0.01, epsilon = 0.52 first overflows near scaled time 3.93
@@ -134,18 +147,21 @@ class TestScanPool:
         assert blocks == [(2, points)] * 2 * len(lambdas)
         assert seen == [threads]
 
-    def test_a_block_never_mixes_propagator_paths(self):
+    def test_a_block_mixing_propagator_paths_keeps_each_cells_bits(self, monkeypatch):
         # at lambda = omega, epsilon = 0 has alpha = 0 and takes dense expm, the
-        # other three the real closed form; one block of all four would give
-        # epsilon = 0.1 and 0.2 expm's last bits
+        # other three the real closed form; all four share one block, and each
+        # still gets the bits of its own path
+        blocks = []
+        series = heisenberg.covariance_series
+        monkeypatch.setattr(heisenberg, "covariance_series", lambda params, t: (
+            blocks.append(np.shape(params.epsilon)) or series(params, t)))
         scan = dict(lambdas=(1.0,), omega=1.0, eps_max=0.3, eps_points=4)
         columns, meta = figures.fig5(**scan, sensitivity=False)
+        assert blocks == [(4, 1)]
         eps_grid = columns["epsilon"]
         paths = heisenberg.paths(heisenberg.spectral(ModelParams(1.0, 1.0, eps_grid)))
         assert paths.tolist() == [heisenberg.DENSE] + [heisenberg.REAL] * 3
         t_scaled = np.linspace(0.0, 5.0, meta["points"])
-        # the 8001-point window prefix would fit all four cells in one block
-        assert figures.BLOCK // np.count_nonzero(t_scaled <= 2.0) >= len(eps_grid)
         alone = [_serial_maxima(ModelParams(1.0, 1.0, float(eps), 5), t_scaled, [2.0])[0]
                  for eps in eps_grid]
         assert columns["max_Y_lam1"].tobytes() == np.array(alone).tobytes()

@@ -195,18 +195,21 @@ class TestBlocks:
 
     @pytest.mark.parametrize("omega, lam, odd_eps", [(1.0, 1.0, 0.0), (1.0, 2.5, 1.5)],
                              ids=["degenerate", "complex-B"])
-    def test_one_odd_segment_switches_its_block(self, omega, lam, odd_eps):
+    def test_one_odd_segment_leaves_every_row_its_own_bits(self, omega, lam, odd_eps):
         # at omega = lambda, epsilon = 0 gives alpha = 0 (dense expm); past
         # lambda = 2 omega, epsilon = 1.5 gives a complex B.  One such segment
-        # of one trial takes every other segment of its block with it
+        # of one trial shares a block with the other trials' real-path segments
         p = ModelParams(omega, lam, 0.0, 5)
         values = np.random.default_rng(8).normal(0.3, 0.03, (3, 20))
         values[1, 7] = odd_eps
         sched = fl.FluctuationSchedule(0.5, values)
-        spec = hb.spectral(replace(p, epsilon=values))
-        assert hb._degenerate(spec) == (odd_eps == 0.0)
-        assert np.count_nonzero(spec.B.imag) == (odd_eps == 1.5)
+        paths = hb.paths(hb.spectral(replace(p, epsilon=values)))
+        assert np.count_nonzero(paths != hb.REAL) == 1
+        assert paths[1, 7] == (hb.DENSE if odd_eps == 0.0 else hb.COMPLEX)
         _, y = fl.propagate_piecewise(p, sched)
+        for row, trial in zip(y, values):
+            alone = fl.propagate_piecewise(p, replace(sched, values=trial))[1]
+            assert np.array_equal(row, alone)
         reference = [_congruence_y(p, row, sched.segment_duration(p))[0] for row in values]
         assert np.abs(y - np.array(reference)).max() <= 1e-12
 

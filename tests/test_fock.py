@@ -14,17 +14,17 @@ from cavityent.params import ModelParams, to_physical_time
 
 class TestBasis:
     def test_index_occupation_bijection(self):
-        basis = fock.TruncatedBasis(4, 7)
+        basis = fock.TruncatedBasis(5)
         seen = set()
-        for n_a in range(5):
-            for n_b in range(8):
+        for n_a in range(6):
+            for n_b in range(6):
                 flat = basis.index(n_a, n_b)
-                assert divmod(flat, basis.cutoff_b + 1) == (n_a, n_b)
+                assert divmod(flat, basis.cutoff_a + 1) == (n_a, n_b)
                 seen.add(flat)
         assert seen == set(range(basis.dim))
 
     def test_fock_state_is_unit_vector(self):
-        basis = fock.TruncatedBasis(3, 3)
+        basis = fock.TruncatedBasis(3)
         psi = fock.fock_state(basis, 2, 1)
         assert np.linalg.norm(psi) == 1.0
         assert psi[basis.index(2, 1)] == 1.0
@@ -174,7 +174,7 @@ class TestEvolution:
 
 
 def _shell(basis):
-    return np.array([sum(divmod(i, basis.cutoff_b + 1)) for i in range(basis.dim)])
+    return np.array([sum(divmod(i, basis.cutoff_a + 1)) for i in range(basis.dim)])
 
 
 def _full_basis_states(h, psi0, times):
@@ -233,7 +233,7 @@ class TestSectorEvolver:
 
 class TestObservables:
     def test_fock_state_moments(self):
-        basis = fock.TruncatedBasis(6, 6)
+        basis = fock.TruncatedBasis(6)
         obs = fock.observables(fock.fock_state(basis, 4, 0), basis)
         assert obs["mean_na"] == pytest.approx(4.0)
         assert obs["mean_nb"] == pytest.approx(0.0)
@@ -249,7 +249,7 @@ class TestObservables:
         assert obs["Y"] == pytest.approx(N / (math.sqrt(2.0) * (N + 1)), abs=1e-10)
 
     def test_unnormalized_state_rejected(self):
-        basis = fock.TruncatedBasis(3, 3)
+        basis = fock.TruncatedBasis(3)
         psi = fock.fock_state(basis, 1, 0)
         with pytest.raises(ValueError):
             fock.observables(2.0 * psi, basis)
@@ -274,7 +274,7 @@ class TestObservables:
 
 class TestEntropy:
     def test_product_state_has_zero_entropy(self):
-        basis = fock.TruncatedBasis(4, 4)
+        basis = fock.TruncatedBasis(4)
         s = fock.reduced_entropy(fock.fock_state(basis, 2, 2), basis)
         assert s == 0.0 and math.copysign(1.0, s) == 1.0  # +0.0, never -0.0
 
@@ -326,7 +326,7 @@ class TestConvergence:
     def test_pump_free_cutoff_is_exact(self):
         p = ModelParams(1.0, 0.1, 0.0, 7)
         basis, ev = fock.check_convergence(p, 10.0)
-        assert (basis.cutoff_a, basis.cutoff_b) == (7, 7)
+        assert basis.cutoff_a == 7
         assert ev.sector.sum() == 8
         assert ev.certificate == {"leak_bound": 0.0, "observable_bound": 0.0}
 

@@ -115,7 +115,7 @@ class TestChCoefficients:
 
     def test_degenerate_spectrum_raises(self):
         sd = hb.spectral(ModelParams(1.0, 0.0, 0.0, 0))  # B = 0
-        assert hb._degenerate(sd)
+        assert hb.paths(sd) == hb.DENSE
         with pytest.raises(ValueError, match=r"degenerate spectrum.*B = .*alpha = .*gamma = "):
             audit.ch_coefficients(sd, 1.0)
 
@@ -230,16 +230,25 @@ class TestPropagator:
                 single = hb.propagators(ModelParams(1.0, 0.05, float(e), 5), t)
                 assert np.array_equal(stack[i, j], single)
 
-    def test_one_degenerate_epsilon_sends_batch_to_expm(self):
+    @pytest.mark.parametrize("lam, eps, paths", [
         # at lambda = 0.1 the threshold epsilon = (1 - 0.01)/2 makes alpha = 0
-        eps = np.array([[0.1, 0.495], [0.3, 0.0]])
-        p = ModelParams(1.0, 0.1, eps, 5)
-        assert hb._degenerate(hb.spectral(p))
-        stack = hb.propagators(p, 2.0)
-        assert stack.shape == eps.shape + (4, 4)
-        m = hb.build_matrix(p)
+        (0.1, [[0.1, 0.495], [0.3, 0.0]], [[hb.REAL, hb.DENSE], [hb.REAL, hb.REAL]]),
+        # at lambda = 3, epsilon = 1.5 gives a complex B and epsilon = 4 gamma = 0
+        (3.0, [[0.5, 1.5], [4.0, 0.0]], [[hb.REAL, hb.COMPLEX], [hb.DENSE, hb.REAL]]),
+    ], ids=["real-dense", "real-complex-dense"])
+    def test_a_batch_mixing_paths_gives_each_epsilon_its_own_bits(self, lam, eps, paths):
+        eps = np.array(eps)
+        times = np.array([0.0, 0.3, 2.0])
+        p = ModelParams(1.0, lam, eps[..., None], 5)
+        assert hb.paths(hb.spectral(p))[..., 0].tolist() == paths
+        stack = hb.propagators(p, times)
+        assert stack.shape == eps.shape + times.shape + (4, 4)
         for idx in np.ndindex(eps.shape):
-            assert_rows_of_expm(stack[idx], hb.expm(-1j * 2.0 * m[idx]))
+            alone = ModelParams(1.0, lam, float(eps[idx]), 5)
+            for s, t in zip(stack[idx], times):
+                assert np.array_equal(s, hb.propagators(alone, t)), (idx, t)
+                if paths[idx[0]][idx[1]] == hb.DENSE:
+                    assert_rows_of_expm(s, hb.expm(-1j * t * hb.build_matrix(alone)))
 
     def test_gamma_zero_goes_to_expm(self):
         # lambda > omega: at omega = 1, lambda = 3, epsilon = 4, A + 2B = -22 + 22 = 0
@@ -356,7 +365,7 @@ class TestMomentKernel:
     def test_dense_expm_fallback(self):
         # alpha = 0 at the threshold epsilon = (omega^2 - lambda^2) / (2 omega)
         p = ModelParams(1.0, 0.1, 0.495, 3)
-        assert hb._degenerate(hb.spectral(p))
+        assert hb.paths(hb.spectral(p)) == hb.DENSE
         self.assert_matches_full_congruence(p, np.linspace(0.0, 30.0, 61))
 
     def test_epsilon_column_broadcast_against_times(self):

@@ -118,7 +118,7 @@ def test_sample_covers_every_regime():
     kinds = set()
     for regime, p, _ in _sample():
         sd = hb.spectral(p)
-        if hb._degenerate(sd):
+        if (hb.paths(sd) == hb.DENSE).any():
             assert regime == "threshold"
             kinds.add("dense expm")
         if np.iscomplex(sd.B):
@@ -184,7 +184,7 @@ def test_expm_on_dense_fallback_cells_is_as_accurate_as_scipy():
     # heisenberg.expm replaced scipy.linalg.expm on the degenerate cells;
     # against the 40-digit reference it may not be more than twice as far off
     cells = [(p, times) for regime, p, times in _sample()
-             if hb._degenerate(hb.spectral(p))]
+             if (hb.paths(hb.spectral(p)) == hb.DENSE).any()]
     assert len(cells) == 3
     ours = theirs = 0.0
     for p, times in cells:
