@@ -211,7 +211,11 @@ def oracle_check(
     lam_p, eps_p = 0.1, 0.1
     p = validate(ModelParams(omega, lam_p, eps_p, n_initial))
     t_max = to_physical_time(1.0, p)
-    basis, ev = fock.check_convergence(p, t_max, tol=convergence_tol)
+    try:
+        basis, ev = fock.check_convergence(p, t_max, tol=convergence_tol)
+    except fock.ConvergenceError as exc:  # this audit row's epsilon and time grid are fixed
+        raise fock.ConvergenceError(f"{exc}; at omega = {omega:g} only a larger "
+                                    "--convergence-tol or --omega helps") from None
     psi0 = fock.fock_state(basis, p.n_initial, 0)
     probes = np.linspace(0.0, t_max, 17)[1:]
     moments = heisenberg.transported_moment_arrays(p, probes)

@@ -18,6 +18,7 @@ FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
 FIG5_LAMBDAS = (0.001, 0.005, 0.01, 0.05, 0.1)
 FIG6_LAMBDAS = (0.001, 0.05)
+SENSITIVITY_WINDOWS = (1.0, 5.0)  # fig5's other scan windows, in units of pi/lambda
 # (epsilon, time) points fig5 evaluates in one covariance_series call: a few
 # cells of the CSV prefix per block, so each pool task outweighs its numpy
 # call overheads, and one cell of the JSON run's longer grid
@@ -114,20 +115,19 @@ def fig5(
     eps_points=26,
     window_scaled=2.0,
     points=8001,
-    sensitivity_windows=(1.0, 5.0),
     sensitivity=True,
 ):
     """Max Y over a scan window as a function of pump strength epsilon.
 
     The maximization horizon is not fixed by the physics; the default is
     two scaled-time units, and meta["sensitivity"] carries the same scan at
-    the sensitivity windows so the horizon dependence is visible.
+    SENSITIVITY_WINDOWS so the horizon dependence is visible.
 
     The time grid always spans the longest window.  With sensitivity=False
     each cell is evaluated only on the grid's prefix up to window_scaled
     and meta has no "sensitivity" entry; the columns keep every bit.  The
     CLI computes the sensitivity windows only for JSON output, since CSV
-    does not write meta.
+    does not write meta, and `sweep` never does.
 
     The (lambda, epsilon) cells run on `_scan`'s thread pool, one thread
     per CPU in the process's affinity mask (`taskset -c 0` gives a one-core
@@ -145,7 +145,7 @@ def fig5(
     if not (np.isfinite(window_scaled) and window_scaled > 0):
         raise ValueError(f"window_scaled must be finite and positive, got {window_scaled}")
     eps_grid = np.linspace(0.0, eps_max, eps_points)
-    windows = sorted(set([window_scaled, *sensitivity_windows]))
+    windows = sorted(set([window_scaled, *SENSITIVITY_WINDOWS]))
     longest = max(windows)
     size = points * longest / window_scaled
     try:  # n_t >= 1: numpy refuses only a grid it cannot allocate
@@ -235,9 +235,9 @@ def _keep_freed_heap():
 
 def sweep(lam, omega=1.0, n_initial=5, eps_max=0.5, eps_points=26,
           window_scaled=2.0, points=8001):
-    """fig5 for one lambda and no sensitivity windows: epsilon against max Y."""
+    """fig5's column for one lambda, on fig5's grid: epsilon against max Y."""
     scan, _ = fig5((lam,), omega, n_initial, eps_max, eps_points, window_scaled, points,
-                   sensitivity_windows=())
+                   sensitivity=False)
     columns = {"epsilon": scan["epsilon"], "max_Y": scan[f"max_Y_lam{lam:g}"]}
     meta = {"omega": omega, "lambda": lam, "n_initial": n_initial,
             "eps_max": eps_max, "eps_points": eps_points,

@@ -16,32 +16,19 @@ ensemble-mean Y rather than pointwise: Y crosses zero periodically, and
 a pointwise std/mean is O(1) at the crossings for arbitrarily small
 pump noise, which would make the spread diagnostic meaningless.
 
-All trials of an ensemble are propagated together.  A product of
-propagators has their form [[u, v], [v*, u*]], so each trial carries the
-Bogoliubov pair (u, v) of its product so far: one `heisenberg._rows` call
-builds the rows of a block of segments, each on its own propagator path,
-one `heisenberg.compose` per segment steps all trials, and Y, read once
-per block, comes from the same sums over u and v as on the transport
-route.  Past the instability the pair grows: a trial's pair is divided by
-its peak when that passes RESCALE_THRESHOLD, and the moments, quadratic
-in it, keep the square of the factor in a log scale that only Y's vacuum
-term needs.  The rescale acts between segments, so a run in which one
-segment grows the pair by more than about 1e258, out of double range, is
-refused naming the segment.
+All trials of an ensemble are propagated together, and each gets the
+bits of its own run (`heisenberg.piecewise_series`).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # numpy loads numpy.random lazily: load it with this module, not in the first draw
 from numpy.random import SeedSequence, default_rng
 
 from . import heisenberg
-from .params import covariance_measure, to_physical_time
-
-RESCALE_THRESHOLD = 1e50  # on the pair, so on the moments 1e100
-BLOCK_CELLS = 4096  # (segment, trial) cells whose propagators one _rows call builds
+from .params import to_physical_time
 
 
 @dataclass(frozen=True)
@@ -64,46 +51,14 @@ class EnsembleResult:
 
 
 def propagate_piecewise(params, schedule):
-    """Y at every segment boundary under the piecewise-constant pump.
+    """(t_scaled, y): Y at every segment boundary under the piecewise-constant pump.
 
-    The schedule is the pump: params.epsilon is not read.  Returns
-    (t_scaled, y); y has one row per trial of a batched schedule, each of
-    length n_segments + 1.  One `heisenberg._rows` call builds each
-    block of about BLOCK_CELLS (segment, trial) cells, each segment on its
-    own propagator path, so each trial's row is the bits of its own run.
-    Raises ValueError when a trial's pair stops being finite within one
-    segment; more segments shorten each step.
+    The schedule is the pump: params.epsilon is not read.  y has one row
+    per trial of a batched schedule, each of length n_segments + 1
+    (`heisenberg.piecewise_series`, which refuses a segment that overflows).
     """
-    batch = schedule.values.shape[:-1]
-    dt = schedule.segment_duration(params)
-    values = np.moveaxis(schedule.values, -1, 0)  # segment-major
-    step = max(1, BLOCK_CELLS // max(1, math.prod(batch)))
-    pair = np.eye(2, 4)  # rows [u v] of S(0) = I; compose broadcasts it over the trials
-    log_scale = np.zeros(batch)
-    y = np.empty(batch + (schedule.n_segments + 1,))
-    y[..., 0] = covariance_measure(*heisenberg.pair_moments(pair, params.n_initial))
-    for start in range(0, schedule.n_segments, step):
-        history = []  # (pair, log_scale) after each segment of the block
-        with np.errstate(over="ignore", invalid="ignore"):
-            re, im, _ = heisenberg._rows(replace(params, epsilon=values[start:start + step]), dt)
-            for rows in np.moveaxis(re + 1j * im, 2, 0):
-                pair = heisenberg.compose(rows, pair)
-                peak = np.abs(pair).max(axis=(0, 1))  # not finite where the pair is not
-                if not np.isfinite(peak).all():
-                    raise ValueError(
-                        f"second moments overflow within pump segment {start + len(history) + 1}"
-                        f" of {schedule.n_segments} at lambda = {params.lam:g}; use more segments")
-                grown = peak > RESCALE_THRESHOLD
-                if grown.any():  # the moments, quadratic in the pair, keep 2 log(peak)
-                    pair = np.where(grown, pair / peak, pair)
-                    log_scale = log_scale + np.where(grown, 2.0 * np.log(peak), 0.0)
-                history.append((pair, log_scale))
-        pairs, log_scales = (np.stack(x, axis=-1) for x in zip(*history))  # segments last, as in y
-        half = np.where(log_scales < 700.0, 0.5 * np.exp(-log_scales), 0.0)
-        moments = heisenberg.pair_moments(pairs, params.n_initial)
-        y[..., start + 1:start + 1 + len(history)] = covariance_measure(*moments, half)
-    t_scaled = np.linspace(0.0, schedule.total_scaled_time, schedule.n_segments + 1)
-    return t_scaled, y
+    y = heisenberg.piecewise_series(params, schedule.values, schedule.segment_duration(params))
+    return np.linspace(0.0, schedule.total_scaled_time, schedule.n_segments + 1), y
 
 
 def trial_seed(master_seed, trial):

@@ -336,19 +336,20 @@ def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
     """
     n0 = params.n_initial
     cutoff = n0
+    observable_bound = np.inf  # no rung at all below a ceiling of N
     while cutoff <= ceiling:
         basis, h, leak = truncation(params, cutoff, linear_drive)
         psi0 = fock_state(basis, n0, 0)
         evolver = SpectralEvolver(h, reachable_sector(h, psi0))
         bound = evolver.leak_bound(leak, psi0, t_max)
-        evolver.certificate = {"leak_bound": bound,
-                               "observable_bound": 28.0 * max(cutoff, 2) * bound}
-        if evolver.certificate["observable_bound"] < tol:
+        observable_bound = 28.0 * max(cutoff, 2) * bound
+        evolver.certificate = {"leak_bound": bound, "observable_bound": observable_bound}
+        if observable_bound < tol:
             return basis, evolver
         if cutoff == ceiling:
             break
         cutoff = min(max(cutoff + 2, (5 * cutoff + 3) // 4), ceiling)
     raise ConvergenceError(
-        f"cutoff ceiling {ceiling} reached without convergence; "
-        "unstable or strong-pump regime, raise the ceiling or shorten t"
+        f"cutoff ceiling {ceiling} reached with observable bound {observable_bound:.3g}, "
+        f"not below tol = {tol:g}: unstable or strong-pump regime"
     )

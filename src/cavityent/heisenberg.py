@@ -18,14 +18,15 @@ instability), so u and v come as real and imaginary parts in real
 arithmetic.  A complex B takes complex arithmetic, a degenerate spectrum
 the dense matrix exponential `expm` (Pade 13 with scaling and squaring),
 each epsilon its own path (`paths`) also inside a batch.  `propagators`,
-the moment kernel and the noise ensemble, which steps its pairs through
-them with `compose`, share this one row builder.  The second moments of
-|N,0>, short sums over u and v, are the authoritative route to Y; a series
-that overflows past the instability is refused.  The published
+the moment kernel and `piecewise_series`, which steps a batch of pairs
+through a piecewise-constant pump, share this one row builder.  The second
+moments of |N,0>, short sums over u and v, are the authoritative route to
+Y; a series that overflows past the instability is refused.  The published
 structure-function formulas for the same moments, and the Cayley-Hamilton
 coefficients, live in `audit`, which never trusts them.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ from .params import covariance_measure, to_scaled_time
 
 DEGENERACY_TOL = 1e-10
 REAL, COMPLEX, DENSE = 0, 1, 2  # propagator paths (`paths`)
+RESCALE_THRESHOLD = 1e50  # on piecewise_series' pair, so on the moments 1e100
+BLOCK_CELLS = 4096  # (segment, trial) cells whose propagators one _rows call builds
 
 # Pade 13 numerator coefficients b_0 .. b_13 over b_0, so that exp(0) = I
 # exactly, and the 1-norm bound theta_13 up to which the approximant is
@@ -204,20 +207,52 @@ def propagators(params, t):
     return np.moveaxis(_complete(re + 1j * im), (0, 1), (-2, -1)).reshape(shape + (4, 4))
 
 
-def compose(rows, pair):
-    """Rows [u v] of S P from the rows of S and of P = [[u, v], [v*, u*]], each (2, 4) + grid."""
-    return np.einsum("ik...,kj...->ij...", rows, _complete(pair))
-
-
 def transported_moment_arrays(params, t):
     """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> at a scalar or array t (_paper_sums)."""
     re, im, shape = _rows(params, t)
     return tuple(q.reshape(shape) for q in _paper_sums(re, im, params.n_initial))
 
 
-def pair_moments(pair, n_initial):
-    """(cov_ab, cov_ab_dagger, mean_na, mean_nb) of |N,0> under S with rows `pair` (compose)."""
-    return _paper_sums(pair.real, pair.imag, n_initial)
+def piecewise_series(params, values, dt):
+    """Y at every segment boundary for epsilon = values[..., k] on segment k, each dt long.
+
+    params.epsilon is not read; y is values.shape[:-1] + (n_segments + 1,), Y(0) first.
+    Each trial (row of values) carries the pair (u, v) of its propagator product so far.
+    One `_rows` call builds a block of about BLOCK_CELLS (segment, trial) cells, each on its
+    own path, so each trial gets the bits of its own run, and Y is read once per block.  A
+    pair whose peak passes RESCALE_THRESHOLD is divided by it; the moments, quadratic in the
+    pair, keep the square of that factor in a log scale that only Y's vacuum term needs.
+    The rescale acts between segments, so a segment that grows a pair past double range
+    (about 1e258) is refused with a ValueError naming it; more segments shorten each step.
+    """
+    batch, n_segments = values.shape[:-1], values.shape[-1]
+    values = np.moveaxis(values, -1, 0)  # segment-major
+    step = max(1, BLOCK_CELLS // max(1, math.prod(batch)))
+    pair = np.eye(2, 4)  # rows [u v] of S(0) = I, broadcast over the trials
+    log_scale = np.zeros(batch)
+    y = np.empty(batch + (n_segments + 1,))
+    y[..., 0] = covariance_measure(*_paper_sums(pair.real, pair.imag, params.n_initial))
+    for start in range(0, n_segments, step):
+        history = []  # (pair, log_scale) after each segment of the block
+        with np.errstate(over="ignore", invalid="ignore"):
+            re, im, _ = _rows(replace(params, epsilon=values[start:start + step]), dt)
+            for rows in np.moveaxis(re + 1j * im, 2, 0):
+                pair = np.einsum("ik...,kj...->ij...", rows, _complete(pair))  # rows of S P
+                peak = np.abs(pair).max(axis=(0, 1))  # not finite where the pair is not
+                if not np.isfinite(peak).all():
+                    raise ValueError(
+                        f"second moments overflow within pump segment {start + len(history) + 1}"
+                        f" of {n_segments} at lambda = {params.lam:g}; use more segments")
+                grown = peak > RESCALE_THRESHOLD
+                if grown.any():  # the moments, quadratic in the pair, keep 2 log(peak)
+                    pair = np.where(grown, pair / peak, pair)
+                    log_scale = log_scale + np.where(grown, 2.0 * np.log(peak), 0.0)
+                history.append((pair, log_scale))
+        pairs, log_scales = (np.stack(x, axis=-1) for x in zip(*history))  # segments last, as in y
+        half = np.where(log_scales < 700.0, 0.5 * np.exp(-log_scales), 0.0)
+        moments = _paper_sums(pairs.real, pairs.imag, params.n_initial)
+        y[..., start + 1:start + 1 + len(history)] = covariance_measure(*moments, half)
+    return y
 
 
 def _paper_sums(re, im, n):

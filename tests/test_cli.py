@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavityent import audit, cli, figures, heisenberg, serialize
+from cavityent import audit, cli, figures, fock, heisenberg, serialize
 from cavityent.params import ModelParams
 
 
@@ -164,6 +164,12 @@ class TestFigureSchemas:
     def test_sweep_columns(self):
         columns, _ = figures.sweep(0.05, eps_points=3, points=101)
         assert list(columns) == ["epsilon", "max_Y"]
+
+    def test_sweep_is_fig5s_column(self):
+        # same settings, same grid: the prefix of fig5's grid up to the window
+        columns, _ = figures.sweep(0.05, eps_points=3, points=101)
+        scan, _ = figures.fig5((0.05,), eps_points=3, points=101)
+        assert columns["max_Y"].tobytes() == scan["max_Y_lam0.05"].tobytes()
 
     def test_fig6_columns(self):
         columns, meta = figures.fig6(lambdas=(0.05,), n_trials=2, n_segments=10,
@@ -380,7 +386,7 @@ class TestCliEndToEnd:
         (["fig5", "--lambdas", "0.001", *_OVERFLOWING_SCAN],
          "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.179641"),
         (["sweep", "--lambda", "0.001", *_OVERFLOWING_SCAN],
-         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.17:"),
+         "Y is not finite at lambda = 0.001, epsilon = 0.6, first at scaled time 0.179641:"),
         (["fig3", *_OVERFLOWING_PAIR],
          "Y is not finite at lambda = 0.01, epsilon = 0.9, first at scaled time 0.755:"),
         (["fig4", *_OVERFLOWING_PAIR],
@@ -460,6 +466,17 @@ class TestCliEndToEnd:
         code, _, err = run_cli(["oracle-check"], capsys)
         assert code == 3
         assert "ceiling" in err
+
+    def test_cutoff_ceiling_names_the_oracle_check_settings(self, monkeypatch, capsys):
+        # a ceiling of N = 5 certifies the pump-free row and refuses the pumped one
+        check = fock.check_convergence
+        monkeypatch.setattr(fock, "check_convergence",
+                            lambda *args, **kwargs: check(*args, **kwargs, ceiling=5))
+        code, out, err = run_cli(["oracle-check", "--draws", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert "error: cutoff ceiling 5 reached with observable bound " in err
+        assert "not below tol = 1e-06" in err
+        assert "only a larger --convergence-tol or --omega helps" in err
 
     def test_oracle_check_failure_is_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(audit, "oracle_check",

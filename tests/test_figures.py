@@ -108,7 +108,7 @@ class TestScanPool:
         with pytest.raises(ValueError, match=r"lambda = 0\.1, epsilon = 1\.3, first at "
                                              r"scaled time 4\.71058:"):
             figures.fig5(**scan)
-        columns, _ = figures.fig5(**scan, sensitivity_windows=(1.0,))
+        columns, _ = figures.fig5(**scan, sensitivity=False)
         assert np.isfinite(columns["max_Y_lam0.1"]).all()
 
     def test_scan_without_sensitivity_keeps_its_columns_bit_for_bit(self):

@@ -121,12 +121,12 @@ class TestPropagatePiecewise:
         p = ModelParams(1.0, 0.05, 0.0, 5)
         sched = _trial(0.1, 3, n_segments=100)
         # all 100 segments fall in one block: rows from one _rows call, as
-        # propagate_piecewise builds them, then composed one segment at a time
-        assert sched.n_segments <= fl.BLOCK_CELLS
+        # heisenberg.piecewise_series builds them, then composed one segment at a time
+        assert sched.n_segments <= hb.BLOCK_CELLS
         re, im, _ = hb._rows(replace(p, epsilon=sched.values), sched.segment_duration(p))
         pair = np.eye(2, 4)
         for k in range(sched.n_segments):
-            pair = hb.compose(re[:, :, k] + 1j * im[:, :, k], pair)
+            pair = _compose(re[:, :, k] + 1j * im[:, :, k], pair)
         u, v = pair[:, :2], pair[:, 2:]
         scale = max(1.0, np.abs(pair).max() ** 2)
         assert np.abs(u @ u.conj().T - v @ v.conj().T - np.eye(2)).max() / scale < 1e-8
@@ -187,7 +187,7 @@ class TestBlocks:
         # blocks and a partial one of 9
         p = ModelParams(1.0, lam, 0.0, 5)
         sched = fl.draw_schedules(mean, n_trials=300, master_seed=4)
-        per_block = fl.BLOCK_CELLS // 300
+        per_block = hb.BLOCK_CELLS // 300
         assert sched.n_segments // per_block >= 3 and sched.n_segments % per_block
         y, log_scale = _per_segment_y(p, sched)
         assert np.array_equal(fl.propagate_piecewise(p, sched)[1], y)
@@ -214,22 +214,31 @@ class TestBlocks:
         assert np.abs(y - np.array(reference)).max() <= 1e-12
 
 
+def _compose(rows, pair):
+    # rows [u v] of S P from the rows of S and of P = [[u, v], [v*, u*]]
+    return np.einsum("ik...,kj...->ij...", rows, hb._complete(pair))
+
+
+def _pair_moments(pair, n):
+    return hb._paper_sums(pair.real, pair.imag, n)
+
+
 def _per_segment_y(p, sched):
-    # propagate_piecewise one segment at a time: rows of S from their own
-    # _rows call, the same composition and rescale, Y read at every boundary
+    # heisenberg.piecewise_series one segment at a time: rows of S from their
+    # own _rows call, the same composition and rescale, Y read at every boundary
     dt = sched.segment_duration(p)
     pair, log_scale = np.eye(2, 4), np.zeros(sched.values.shape[:-1])
-    y = [np.broadcast_to(covariance_measure(*hb.pair_moments(pair, p.n_initial)), log_scale.shape)]
+    y = [np.broadcast_to(covariance_measure(*_pair_moments(pair, p.n_initial)), log_scale.shape)]
     for k in range(sched.n_segments):
         with np.errstate(over="ignore", invalid="ignore"):
             re, im, _ = hb._rows(replace(p, epsilon=sched.values[..., k]), dt)
-            pair = hb.compose(re + 1j * im, pair)
+            pair = _compose(re + 1j * im, pair)
         peak = np.abs(pair).max(axis=(0, 1))
-        grown = peak > fl.RESCALE_THRESHOLD
+        grown = peak > hb.RESCALE_THRESHOLD
         pair = np.where(grown, pair / peak, pair)
         log_scale = log_scale + np.where(grown, 2.0 * np.log(peak), 0.0)
         half = np.where(log_scale < 700.0, 0.5 * np.exp(-log_scale), 0.0)
-        y.append(covariance_measure(*hb.pair_moments(pair, p.n_initial), half))
+        y.append(covariance_measure(*_pair_moments(pair, p.n_initial), half))
     return np.stack(y, axis=-1), log_scale
 
 
@@ -295,7 +304,7 @@ class TestBatchedPropagation:
             g = s @ g @ s.T
             log_peak += np.log(np.abs(g).max())
             g /= np.abs(g).max()
-        assert log_peak > np.log(fl.RESCALE_THRESHOLD ** 2)
+        assert log_peak > np.log(hb.RESCALE_THRESHOLD ** 2)
 
     def test_ensemble_trials_equal_per_trial_runs(self):
         p = ModelParams(1.0, 0.05, 0.3, 5)
