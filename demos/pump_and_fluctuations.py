@@ -32,7 +32,7 @@ print(f"oracle cutoff: n_a + n_b <= {basis.cutoff_a}, certified to "
       f"{ev.certificate['observable_bound']:.1e} "
       f"(leak bound {ev.certificate['leak_bound']:.1e})")
 probes = slice(None, None, 20)
-obs = fock.observables(ev.at_times(fock.fock_state(basis, 5, 0), t[probes]), basis)
+obs = fock.observables(ev.at_times(t[probes]), basis)
 print(f"Y at scaled time {scaled[200]:.2f}: transport {y[200]:.10f}, "
       f"oracle {obs['Y'][10]:.10f}")
 print(f"largest |transport - oracle| over {obs['Y'].size} instants: "

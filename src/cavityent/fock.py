@@ -12,12 +12,14 @@ n_a + n_b <= K of the box; it is evolved by spectral decomposition, and
 interrogated for moments, the covariance measure and the a-mode
 entanglement entropy.
 
-Only the sector that the initial state reaches under H is diagonalised:
-the photon-number parity sector when pumped (hopping keeps n_a + n_b and
-the pump changes n_a by 2), the N-photon shell without pump or drive, and
-every state kept under a linear drive.  The sector is found from H's nonzero
-values and checked, not assumed: H must have no entry between it and the
-rest of the basis.  Only its block is made dense.
+SpectralEvolver evolves one initial state, and diagonalises only the
+sector that state reaches under H: the photon-number parity sector when
+pumped (hopping keeps n_a + n_b and the pump changes n_a by 2), the
+N-photon shell without pump or drive, and every state kept under a linear
+drive.  The sector is found from H's nonzero values and checked, not
+assumed: an entry into it from the rest of the basis means H is not
+symmetric, and raises.  Only its block is made dense, and the state's
+eigen-coefficients are taken once.
 
 check_convergence truncates on total photon number, n_a + n_b <= K, and
 certifies K with a bound, never assumed: hopping keeps n_a + n_b, so only
@@ -55,9 +57,6 @@ class TruncatedBasis:
             raise IndexError(f"({n_a}, {n_b}) outside basis")
         return n_a * (self.cutoff_a + 1) + n_b
 
-    def __repr__(self):
-        return f"TruncatedBasis({self.cutoff_a})"
-
 
 def fock_state(basis, n_a, n_b):
     psi = np.zeros(basis.dim, dtype=complex)
@@ -69,7 +68,7 @@ def fock_state(basis, n_a, n_b):
 class SparseMatrix:
     """A real matrix kept as its entries: values[k] at (rows[k], cols[k]), each place once.
 
-    A stored 0.0 counts as no coupling (reachable_sector, SpectralEvolver).
+    A stored 0.0 counts as no coupling (SpectralEvolver).
     """
 
     rows: np.ndarray
@@ -96,88 +95,46 @@ def _terms(params, n_a, n_b, linear_drive):
     yield 1, 0, linear_drive * up_a                             # drive a^dag
 
 
-def _assemble(params, basis, linear_drive):
-    """(h, leak) for H on the states of the basis with n_a + n_b <= K = basis.cutoff_a.
-
-    h is H restricted to those states, in basis's flat index.  leak holds
-    the elements from them to the states with n_a + n_b > K: its columns
-    are basis's states, its rows n_a (K + 1) + n_b for the states reached.
-    Zero elements are not stored.
-    """
-    total, width = basis.cutoff_a, basis.cutoff_a + 1
-    n_a, n_b = np.divmod(np.arange(basis.dim), width)
-    source = np.flatnonzero(n_a + n_b <= total)
-    n_a, n_b = n_a[source], n_b[source]
-    h, leak = [], []
-    for da, db, value in _terms(params, n_a, n_b, linear_drive):
-        to_a, to_b = n_a + da, n_b + db
-        stored = (value != 0) & (to_b >= 0)
-        kept = stored & (to_a + to_b <= total)
-        target = to_a * width + to_b
-        h.append((target[kept], source[kept], value[kept]))
-        if da or db:  # and its transpose, the term that lowers n_a
-            h.append((source[kept], target[kept], value[kept]))
-        out = stored & (to_a + to_b > total)
-        leak.append((target[out], source[out], value[out]))
-    rows, cols, values = (np.concatenate(part) for part in zip(*h))
-    h = SparseMatrix(rows, cols, values, (basis.dim, basis.dim))
-    rows, cols, values = (np.concatenate(part) for part in zip(*leak))
-    return h, SparseMatrix(rows, cols, values, ((total + 3) * width, basis.dim))
-
-
-def reachable_sector(h, state):
-    """Boolean mask of the basis states that state's support reaches under h.
-
-    Breadth-first search over the nonzero values of h, not its stored
-    entries: a zero coupling (epsilon = 0, say) may still be stored and
-    must not join two sectors.
-    """
-    linked = h.values != 0
-    rows, cols = h.rows[linked], h.cols[linked]
-    sector = np.asarray(state) != 0
-    while True:
-        reached = rows[sector[cols] & ~sector[rows]]
-        if not reached.size:
-            return sector
-        sector[reached] = True
-
-
 class SpectralEvolver:
-    """Eigendecomposition of H on one H-invariant sector of the basis.
+    """Evolution of one state psi0 under H (a SparseMatrix), by eigendecomposition.
 
-    The sector (a boolean mask, usually from reachable_sector) is checked,
-    not assumed: any nonzero entry of H (a SparseMatrix) between the sector
-    and the rest of the basis raises.  The sector's block is made dense and
-    diagonalised by numpy.linalg.eigh (LAPACK's divide-and-conquer syevd).
-    States are taken and returned in the full basis.
+    Only the sector psi0 reaches is diagonalised.  It is found by a
+    breadth-first search over the nonzero values of h, not its stored
+    entries, from column to row: a zero coupling (epsilon = 0, say) may still
+    be stored and must not join two sectors.  The sector is then checked,
+    not assumed: a nonzero entry whose row is in it and whose column is not
+    means h is not symmetric, and raises.  The sector's block is made dense
+    and diagonalised by numpy.linalg.eigh (LAPACK's divide-and-conquer
+    syevd), and psi0's eigen-coefficients are taken once.  States are
+    returned in the full basis.
     """
 
-    def __init__(self, h, sector):
-        self.sector = np.asarray(sector, dtype=bool)
+    def __init__(self, h, psi0):
+        psi0 = np.asarray(psi0, dtype=complex)
+        linked = h.values != 0
+        rows, cols = h.rows[linked], h.cols[linked]
+        self.sector = psi0 != 0
+        while (reached := rows[self.sector[cols] & ~self.sector[rows]]).size:
+            self.sector[reached] = True
         row_in, col_in = self.sector[h.rows], self.sector[h.cols]
-        if np.any((row_in != col_in) & (h.values != 0)):
-            raise ValueError("sector is not invariant under H: it couples to the rest of the basis")
+        if np.any(row_in & ~col_in & linked):
+            raise ValueError("sector is not invariant under H: an entry couples into it "
+                             "from the rest of the basis, so h is not symmetric")
         self._position = np.cumsum(self.sector) - 1  # flat index -> row of the block
         block = np.zeros((self._position[-1] + 1,) * 2)
         inside = row_in & col_in
         block[self._position[h.rows[inside]], self._position[h.cols[inside]]] = h.values[inside]
         self.energies, self.modes = np.linalg.eigh(block)
+        self._coeff = _apply(self.modes.T, psi0[self.sector])
 
-    def _coefficients(self, psi0):
-        psi0 = np.asarray(psi0, dtype=complex)
-        if np.any(psi0[~self.sector]):
-            raise ValueError("initial state has support outside the evolver's sector")
-        return _apply(self.modes.conj().T, psi0[self.sector])
-
-    def at_times(self, psi0, times):
-        coeff = self._coefficients(psi0)
+    def at_times(self, times):
         phases = np.exp(-1j * np.outer(np.asarray(times, float), self.energies))
         out = np.zeros((phases.shape[0], self.sector.size), dtype=complex)
-        out[:, self.sector] = _apply(self.modes, (phases * coeff).T).T
+        out[:, self.sector] = _apply(self.modes, (phases * self._coeff).T).T
         return out
 
-    def leak_bound(self, leak, psi0, t):
-        """B(t) = sqrt(t int_0^t |leak psi(s)|^2 ds) for psi(s) = exp(-iHs) psi0.
+    def leak_bound(self, leak, t):
+        """B(t) = sqrt(t int_0^t |leak psi(s)|^2 ds) for psi(s) = exp(-iHs) psi0, t >= 0.
 
         leak is a SparseMatrix with the basis as columns (see truncation);
         psi0 must be real.  With x the eigen-coefficients of psi0, V the
@@ -192,13 +149,15 @@ class SpectralEvolver:
         odd in w and cancels between W_jk and W_kj; its real part,
         sin(w t) / w = t sinc(w t / pi), loses no digits at w = 0.
         """
-        if np.any(np.imag(psi0)):
+        if not t >= 0:
+            raise ValueError(f"leak_bound needs a time t >= 0, got t = {t}")
+        if np.any(self._coeff.imag):
             raise ValueError("leak_bound needs a real psi0: it has a nonzero imaginary part")
         inside = self.sector[leak.cols]
         reached, row = np.unique(leak.rows[inside], return_inverse=True)
         block = np.zeros((reached.size, self.energies.size))
         block[row, self._position[leak.cols[inside]]] = leak.values[inside]
-        z = (block @ self.modes) * self._coefficients(psi0).real
+        z = (block @ self.modes) * self._coeff.real
         gap = self.energies[:, None] - self.energies[None, :]
         integral = t * np.sum((z.T @ z) * np.sinc(gap * (t / np.pi)))
         return float(np.sqrt(t * max(integral, 0.0)))
@@ -274,15 +233,34 @@ def truncation(params, cutoff, linear_drive=0.0):
     """H truncated to T = {n_a + n_b <= cutoff}, and its coupling out of T.
 
     Returns (basis, h, leak) on the (cutoff, cutoff) box.  h is P H P, P the
-    projector onto T: it holds only the elements between states of T.
-    leak is Q H P, Q = 1 - P: its columns are the box's states, its rows
-    the states outside T that H reaches from T (see _assemble).  Both are
-    built directly on T, from one table of H's elements.  Nothing here is
+    projector onto T: it holds only the elements between states of T, in
+    basis's flat index.  leak is Q H P, Q = 1 - P: its columns are the box's
+    states, its rows n_a (cutoff + 1) + n_b for the states outside T that H
+    reaches from T.  Both are built directly on T, from one table of H's
+    elements (_terms); zero elements are not stored.  Nothing here is
     dense: SpectralEvolver makes dense only the block of the sector it
     diagonalises.
     """
     basis = TruncatedBasis(cutoff)
-    return (basis, *_assemble(params, basis, linear_drive))
+    total, width = basis.cutoff_a, basis.cutoff_a + 1
+    n_a, n_b = np.divmod(np.arange(basis.dim), width)
+    source = np.flatnonzero(n_a + n_b <= total)
+    n_a, n_b = n_a[source], n_b[source]
+    h, leak = [], []
+    for da, db, value in _terms(params, n_a, n_b, linear_drive):
+        to_a, to_b = n_a + da, n_b + db
+        stored = (value != 0) & (to_b >= 0)
+        kept = stored & (to_a + to_b <= total)
+        target = to_a * width + to_b
+        h.append((target[kept], source[kept], value[kept]))
+        if da or db:  # and its transpose, the term that lowers n_a
+            h.append((source[kept], target[kept], value[kept]))
+        out = stored & (to_a + to_b > total)
+        leak.append((target[out], source[out], value[out]))
+    rows, cols, values = (np.concatenate(part) for part in zip(*h))
+    h = SparseMatrix(rows, cols, values, (basis.dim, basis.dim))
+    rows, cols, values = (np.concatenate(part) for part in zip(*leak))
+    return basis, h, SparseMatrix(rows, cols, values, ((total + 3) * width, basis.dim))
 
 
 def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
@@ -293,7 +271,8 @@ def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
     evolver carries its certificate: evolver.certificate holds the leak
     bound B(t_max) and the observable bound 28 max(K, 2) B(t_max).  K runs
     up the ladder N, then max(K + 2, ceil(1.25 K)), to ceiling; past it,
-    ConvergenceError.
+    ConvergenceError.  An N above ceiling is refused the same way before any
+    rung is built: |N, 0> needs K >= N.  t_max must be >= 0.
 
     State bound (rigorous).  Let psi be the exact state, phi the state
     evolved under P H P (it stays in T, with norm 1) and Q = 1 - P.  By the
@@ -335,21 +314,21 @@ def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
     covered either.
     """
     n0 = params.n_initial
+    if n0 > ceiling:
+        raise ConvergenceError(f"|N, 0> needs a cutoff of at least N = {n0}, "
+                               f"above the cutoff ceiling {ceiling}")
     cutoff = n0
-    observable_bound = np.inf  # no rung at all below a ceiling of N
-    while cutoff <= ceiling:
+    while True:
         basis, h, leak = truncation(params, cutoff, linear_drive)
-        psi0 = fock_state(basis, n0, 0)
-        evolver = SpectralEvolver(h, reachable_sector(h, psi0))
-        bound = evolver.leak_bound(leak, psi0, t_max)
+        evolver = SpectralEvolver(h, fock_state(basis, n0, 0))
+        bound = evolver.leak_bound(leak, t_max)
         observable_bound = 28.0 * max(cutoff, 2) * bound
         evolver.certificate = {"leak_bound": bound, "observable_bound": observable_bound}
         if observable_bound < tol:
             return basis, evolver
         if cutoff == ceiling:
-            break
+            raise ConvergenceError(
+                f"cutoff ceiling {ceiling} reached with observable bound {observable_bound:.3g}, "
+                f"not below tol = {tol:g}: unstable or strong-pump regime"
+            )
         cutoff = min(max(cutoff + 2, (5 * cutoff + 3) // 4), ceiling)
-    raise ConvergenceError(
-        f"cutoff ceiling {ceiling} reached with observable bound {observable_bound:.3g}, "
-        f"not below tol = {tol:g}: unstable or strong-pump regime"
-    )

@@ -478,6 +478,20 @@ class TestCliEndToEnd:
         assert "not below tol = 1e-06" in err
         assert "only a larger --convergence-tol or --omega helps" in err
 
+    @pytest.mark.parametrize("n", [121, 3000])
+    def test_n_initial_above_the_cutoff_ceiling_names_n_initial(self, n, tmp_path, capsys):
+        # the pump-free rung runs first and builds no rung: the sector states
+        # would overflow from N = 2100 on, a warning that is an error here
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(["oracle-check", "--n-initial", str(n), "--draws", "1",
+                                    "--out", str(out)], capsys)
+        assert code == 3
+        assert (f"error: |N, 0> needs a cutoff of at least N = {n}, above the cutoff "
+                "ceiling 120; only a smaller --n-initial helps") in err
+        assert not out.exists()
+
     def test_oracle_check_failure_is_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr(audit, "oracle_check",
                             lambda **kw: ({"pass": False, "sections": {}}, False))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def _analytic_hamiltonian(p, drive, box):
 
 
 def _evolve(psi0, h, t):
-    out = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0)).at_times(psi0, [t])[0]
+    out = fock.SpectralEvolver(h, psi0).at_times([t])[0]
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-9, "norm drift during evolution"
     return out
 
@@ -166,11 +167,11 @@ class TestEvolution:
         p = ModelParams(1.0, 0.1, 0.05, 2)
         basis, h, _ = fock.truncation(p, 16)
         psi0 = fock.fock_state(basis, 2, 0)
-        ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
+        ev = fock.SpectralEvolver(h, psi0)
         times = np.array([0.0, 3.0, 17.0])
-        batch = ev.at_times(psi0, times)
+        batch = ev.at_times(times)
         for t, row in zip(times, batch):
-            np.testing.assert_allclose(row, ev.at_times(psi0, [t])[0], atol=1e-12)
+            np.testing.assert_allclose(row, ev.at_times([t])[0], atol=1e-12)
 
 
 def _shell(basis):
@@ -199,12 +200,12 @@ class TestSectorEvolver:
         p = ModelParams(1.0, 0.1, eps, 5)
         basis, h, _ = fock.truncation(p, cutoff, linear_drive=drive)
         psi0 = fock.fock_state(basis, 5, 0)
-        ev = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
+        ev = fock.SpectralEvolver(h, psi0)
         shell = _shell(basis)  # the sector lies in T = {shell <= cutoff}: a drive reaches all of T
         np.testing.assert_array_equal(ev.sector, in_sector(shell) & (shell <= cutoff))
         times = to_physical_time(np.array([0.1, 0.37, 1.0]), p)
         np.testing.assert_allclose(
-            ev.at_times(psi0, times), _full_basis_states(h, psi0, times), rtol=0, atol=1e-12
+            ev.at_times(times), _full_basis_states(h, psi0, times), rtol=0, atol=1e-12
         )
 
     def test_stored_zero_couplings_do_not_join_sectors(self):
@@ -212,23 +213,19 @@ class TestSectorEvolver:
         shell = _shell(basis)
         h.values[shell[h.rows] != shell[h.cols]] = 0.0
         assert 0 < np.count_nonzero(h.values) < h.values.size
-        sector = fock.reachable_sector(h, fock.fock_state(basis, 5, 0))
-        np.testing.assert_array_equal(sector, shell == 5)
+        ev = fock.SpectralEvolver(h, fock.fock_state(basis, 5, 0))
+        np.testing.assert_array_equal(ev.sector, shell == 5)
 
-    def test_state_outside_sector_rejected(self):
+    def test_an_entry_into_the_sector_from_outside_raises(self):
+        # the search follows entries from column to row, so an entry whose
+        # row is in the sector and whose column is not is never followed:
+        # without its transpose, h is not symmetric and the sector not invariant
         basis, h, _ = fock.truncation(ModelParams(1.0, 0.1, 0.1, 5), 10)
-        ev = fock.SpectralEvolver(h, fock.reachable_sector(h, fock.fock_state(basis, 5, 0)))
-        mixed = (fock.fock_state(basis, 5, 0) + fock.fock_state(basis, 4, 0)) / math.sqrt(2.0)
-        with pytest.raises(ValueError, match="outside"):
-            ev.at_times(fock.fock_state(basis, 4, 0), [1.0])
-        with pytest.raises(ValueError, match="outside"):
-            ev.at_times(mixed, [0.0, 1.0])
-
-    def test_non_invariant_sector_raises(self):
-        # the pump couples neighbouring photon-number shells
-        basis, h, _ = fock.truncation(ModelParams(1.0, 0.1, 0.1, 5), 10)
+        h = fock.SparseMatrix(np.append(h.rows, basis.index(5, 0)),
+                              np.append(h.cols, basis.index(4, 0)),
+                              np.append(h.values, 0.1), h.shape)
         with pytest.raises(ValueError, match="not invariant"):
-            fock.SpectralEvolver(h, _shell(basis) == 5)
+            fock.SpectralEvolver(h, fock.fock_state(basis, 5, 0))
 
 
 class TestObservables:
@@ -306,7 +303,7 @@ def driven_states():
     p = ModelParams(1.0, 0.1, 0.05, 2)
     t_max = to_physical_time(0.5, p)
     basis, ev = fock.check_convergence(p, t_max, linear_drive=0.05)
-    return basis, ev.at_times(fock.fock_state(basis, 2, 0), np.linspace(0.0, t_max, 6))
+    return basis, ev.at_times(np.linspace(0.0, t_max, 6))
 
 
 class TestBatched:
@@ -347,18 +344,15 @@ class TestConvergence:
         basis, ev = fock.check_convergence(p, times[-1])
         _, h, _ = fock.truncation(p, basis.cutoff_a)
         psi0 = fock.fock_state(basis, 2, 0)
-        fresh = fock.SpectralEvolver(h, fock.reachable_sector(h, psi0))
+        fresh = fock.SpectralEvolver(h, psi0)
         np.testing.assert_array_equal(ev.sector, fresh.sector)
-        np.testing.assert_allclose(
-            ev.at_times(psi0, times), fresh.at_times(psi0, times), rtol=0, atol=1e-13
-        )
+        np.testing.assert_allclose(ev.at_times(times), fresh.at_times(times), rtol=0, atol=1e-13)
 
 
 def _rung(p, cutoff, drive=0.0):
-    """(basis, evolver, leak, |N, 0>) on n_a + n_b <= cutoff."""
+    """(basis, evolver of |N, 0>, leak) on n_a + n_b <= cutoff."""
     basis, h, leak = fock.truncation(p, cutoff, drive)
-    psi0 = fock.fock_state(basis, p.n_initial, 0)
-    return basis, fock.SpectralEvolver(h, fock.reachable_sector(h, psi0)), leak, psi0
+    return basis, fock.SpectralEvolver(h, fock.fock_state(basis, p.n_initial, 0)), leak
 
 
 def _on_box(psi, cutoff):
@@ -371,15 +365,15 @@ def _on_box(psi, cutoff):
 
 def _distances_and_bounds(p, cutoffs, reference, times, drive=0.0):
     """(K, t, |psi_K(t) - psi_R(t)|, B_K(t) + B_R(t)) for each K in cutoffs, R = reference."""
-    _, ev_r, leak_r, psi_r = _rung(p, reference, drive)
-    states_r = ev_r.at_times(psi_r, times)
-    bounds_r = [ev_r.leak_bound(leak_r, psi_r, t) for t in times]
+    _, ev_r, leak_r = _rung(p, reference, drive)
+    states_r = ev_r.at_times(times)
+    bounds_r = [ev_r.leak_bound(leak_r, t) for t in times]
     rows = []
     for cutoff in cutoffs:
-        _, ev_k, leak_k, psi_k = _rung(p, cutoff, drive)
-        for t, state_k, state_r, b_r in zip(times, ev_k.at_times(psi_k, times), states_r, bounds_r):
+        _, ev_k, leak_k = _rung(p, cutoff, drive)
+        for t, state_k, state_r, b_r in zip(times, ev_k.at_times(times), states_r, bounds_r):
             gap = np.linalg.norm(_on_box(state_k, reference) - state_r)
-            rows.append((cutoff, t, gap, ev_k.leak_bound(leak_k, psi_k, t) + b_r))
+            rows.append((cutoff, t, gap, ev_k.leak_bound(leak_k, t) + b_r))
     return rows
 
 
@@ -403,11 +397,11 @@ def _dense_leak(leak):
     return out
 
 
-def _simpson_leak_bound(ev, leak, psi0, t, points=4001):
+def _simpson_leak_bound(ev, leak, t, points=4001):
     """B(t) from composite Simpson on |leak psi(s)|^2, the states taken from at_times."""
     dense = _dense_leak(leak)
     s = np.linspace(0.0, t, points)
-    squares = np.concatenate([np.sum(np.abs(ev.at_times(psi0, part) @ dense.T) ** 2, axis=-1)
+    squares = np.concatenate([np.sum(np.abs(ev.at_times(part) @ dense.T) ** 2, axis=-1)
                               for part in np.array_split(s, 16)])  # 16 parts bound the memory
     weights = np.ones(points)
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
@@ -449,33 +443,40 @@ class TestCertificate:
 
     def test_leak_bound_grows_with_time(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
-        _, ev, leak, psi0 = _rung(p, 17)
-        bounds = [ev.leak_bound(leak, psi0, t) for t in np.linspace(0.0, 40.0, 9)]
+        _, ev, leak = _rung(p, 17)
+        bounds = [ev.leak_bound(leak, t) for t in np.linspace(0.0, 40.0, 9)]
         assert bounds[0] == 0.0
         assert np.all(np.diff(bounds) > 0.0)
 
     @pytest.mark.parametrize("cutoff, drive", LEAK_RUNGS, ids=LEAK_IDS)
     def test_leak_bound_matches_a_time_domain_quadrature(self, cutoff, drive):
         p = ModelParams(1.0, 0.1, 0.1, 5)
-        _, ev, leak, psi0 = _rung(p, cutoff, drive)
+        _, ev, leak = _rung(p, cutoff, drive)
         t = to_physical_time(1.0, p)
-        np.testing.assert_allclose(ev.leak_bound(leak, psi0, t),
-                                   _simpson_leak_bound(ev, leak, psi0, t), rtol=1e-8)
+        np.testing.assert_allclose(ev.leak_bound(leak, t), _simpson_leak_bound(ev, leak, t),
+                                   rtol=1e-8)
 
     @pytest.mark.parametrize("cutoff, drive", LEAK_RUNGS, ids=LEAK_IDS)
     def test_leak_bound_equals_the_complex_kernel_sum(self, cutoff, drive):
         p = ModelParams(1.0, 0.1, 0.1, 5)
-        _, ev, leak, psi0 = _rung(p, cutoff, drive)
+        basis, ev, leak = _rung(p, cutoff, drive)
+        psi0 = fock.fock_state(basis, p.n_initial, 0)
         for scaled in (0.1, 0.5, 1.0):
             t = to_physical_time(scaled, p)
-            np.testing.assert_allclose(ev.leak_bound(leak, psi0, t),
+            np.testing.assert_allclose(ev.leak_bound(leak, t),
                                        _complex_leak_bound(ev, leak, psi0, t), rtol=1e-12)
 
     def test_leak_bound_refuses_a_complex_initial_state(self):
-        p = ModelParams(1.0, 0.1, 0.1, 5)
-        _, ev, leak, psi0 = _rung(p, 17)
+        basis, h, leak = fock.truncation(ModelParams(1.0, 0.1, 0.1, 5), 17)
+        ev = fock.SpectralEvolver(h, fock.fock_state(basis, 5, 0) * np.exp(0.25j))
         with pytest.raises(ValueError, match="nonzero imaginary part"):
-            ev.leak_bound(leak, psi0 * np.exp(0.25j), 10.0)
+            ev.leak_bound(leak, 10.0)
+
+    @pytest.mark.parametrize("t", [-31.4, -1e-300, math.nan])
+    def test_a_time_that_is_not_non_negative_certifies_no_rung(self, t):
+        # the formula gives B(t) <= 0 at a negative t, below any tol: it would certify K = N
+        with pytest.raises(ValueError, match=re.escape(f"needs a time t >= 0, got t = {t}")):
+            fock.check_convergence(ModelParams(1.0, 0.1, 0.1, 5), t)
 
     @pytest.mark.parametrize(
         "lam, eps, n0, scaled, drive",
@@ -491,10 +492,9 @@ class TestCertificate:
         t_max = to_physical_time(scaled, p)
         basis, ev = fock.check_convergence(p, t_max, tol=tol, linear_drive=drive)
         assert ev.certificate["observable_bound"] < tol
-        doubled, ev2, _, psi2 = _rung(p, 2 * basis.cutoff_a, drive)
-        psi0 = fock.fock_state(basis, n0, 0)
+        doubled, ev2, _ = _rung(p, 2 * basis.cutoff_a, drive)
         times = np.linspace(0.0, t_max, 9)
-        for psi, psi_2 in zip(ev.at_times(psi0, times), ev2.at_times(psi2, times)):
+        for psi, psi_2 in zip(ev.at_times(times), ev2.at_times(times)):
             obs, ref = fock.observables(psi, basis), fock.observables(psi_2, doubled)
             for key in ("Y", "mean_na", "mean_nb"):
                 assert abs(obs[key] - ref[key]) < tol, key
@@ -525,9 +525,8 @@ class TestAgreementWithTransport:
             p = ModelParams(1.0, lam, eps, n0)
             t_max = to_physical_time(0.5, p)
             basis, ev = fock.check_convergence(p, t_max, tol=1e-6, ceiling=64)
-            psi0 = fock.fock_state(basis, n0, 0)
             times = np.linspace(0.0, t_max, 5)
-            obs = fock.observables(ev.at_times(psi0, times), basis)
+            obs = fock.observables(ev.at_times(times), basis)
             y_ref = hb.covariance_series(p, times)
             worst = max(worst, np.abs(obs["Y"] - y_ref).max())
         assert worst < 1e-5
