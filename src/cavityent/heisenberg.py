@@ -4,26 +4,33 @@ The linear Heisenberg equations i dv/dt = M v are solved by the 4x4
 propagator S(t) = exp(-i t M) = [[u, v], [v*, u*]], carried as its
 Bogoliubov pair: a(t) = u00 a + u01 b + v00 a^dag + v01 b^dag, b(t) likewise
 over u1k, v1k.  Rows 2-3 are only ever conjugated, since a^dag(t) = a(t)^dag.
-M has the eigenvalues +-alpha and +-gamma; where they are distinct S is
-Sylvester's form over four fixed matrices,
+M has the eigenvalues +-alpha and +-gamma, so (M^2 - alpha^2 I)(M^2 - gamma^2 I)
+= 0, and S = F(M^2) - i M G(M^2), F(w) = cos(t sqrt w), G(w) = sin(t sqrt w)/sqrt w,
+is the interpolation of F and G at the nodes alpha^2 and gamma^2 for every
+spectrum (Higham, Functions of Matrices, 2008, ch. 1).  Each epsilon, also
+inside a batch, takes Sylvester's form over four matrices built once per epsilon,
 
     S(t) = cos(alpha t) P1 + cos(gamma t) P2 + sin(alpha t)/alpha P3 + sin(gamma t)/gamma P4,
     P1 = (gamma^2 I - M^2)/4B,    P2 = (M^2 - alpha^2 I)/4B,
     P3 = i (M^3 - gamma^2 M)/4B,  P4 = i (alpha^2 M - M^3)/4B,
 
-with 4B = gamma^2 - alpha^2 and the P built once per epsilon.  For real B
-(every lambda < 2 omega) P1 and P2 are real, P3 and P4 imaginary and the
-four functions real (cosh and sinh/|theta| past the parametric
-instability), so u and v come as real and imaginary parts in real
-arithmetic.  A complex B takes complex arithmetic, a degenerate spectrum
-the dense matrix exponential `expm` (Pade 13 with scaling and squaring),
-each epsilon its own path (`paths`) also inside a batch.  `propagators`,
-the moment kernel and `piecewise_series`, which steps a batch of pairs
-through a piecewise-constant pump, share this one row builder.  The second
-moments of |N,0>, short sums over u and v, are the authoritative route to
-Y; a series that overflows past the instability is refused.  The published
-structure-function formulas for the same moments, and the Cayley-Hamilton
-coefficients, live in `audit`, which never trusts them.
+with sin(theta t)/theta = t at theta = 0, or, where 4B = gamma^2 - alpha^2 is
+small against the nodes (KAPPA), Newton's form, which never divides by 4B,
+
+    S(t) = F(alpha^2) I + F[alpha^2, gamma^2] (M^2 - alpha^2 I)
+           - i M (G(alpha^2) I + G[alpha^2, gamma^2] (M^2 - alpha^2 I)).
+
+For real B (every lambda < 2 omega) the four functions of Sylvester's form
+are real (cosh and sinh/|theta| past the parametric instability), P1 and P2
+real and P3 and P4 imaginary, so u and v come as real and imaginary parts
+in real arithmetic; a complex B takes complex arithmetic.
+`propagators`, the moment kernel and `piecewise_series`, which steps a
+batch of pairs through a piecewise-constant pump, share this one row
+builder.  The second moments of |N,0>, short sums over u and v, are the
+authoritative route to Y; a series that overflows past the instability is
+refused.  The published structure-function formulas for the same moments
+and the Cayley-Hamilton coefficients live in `audit`, which never trusts
+them, beside the dense exponential that oracle-check gates S against.
 """
 
 import math
@@ -33,19 +40,14 @@ import numpy as np
 
 from .params import covariance_measure, to_scaled_time
 
-DEGENERACY_TOL = 1e-10
-REAL, COMPLEX, DENSE = 0, 1, 2  # propagator paths (`paths`)
+# Newton's form where |4B| <= KAPPA max(|alpha^2|, |gamma^2|), Sylvester's above.
+# Sylvester's divides by 4B; Newton's F(alpha^2) I and F[..] (M^2 - alpha^2 I) cancel
+# on the unstable side, where cosh(|alpha| t) >> cos(gamma t).  1e-3 is the crossover
+# measured against a 40-digit reference; every cell of configs/*.cfg lies above it
+# (the lowest, 2e-3, is fig5's at lambda = 1e-3, epsilon = 0).
+KAPPA = 1e-3
 RESCALE_THRESHOLD = 1e50  # on piecewise_series' pair, so on the moments 1e100
 BLOCK_CELLS = 4096  # (segment, trial) cells whose propagators one _rows call builds
-
-# Pade 13 numerator coefficients b_0 .. b_13 over b_0, so that exp(0) = I
-# exactly, and the 1-norm bound theta_13 up to which the approximant is
-# accurate to unit roundoff (Higham 2005, Tables 2.3 and 2.2)
-PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0))
-THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -88,65 +90,25 @@ def spectral(params):
     return SpectralData(a_val, b_val, alpha, gamma, (alpha.imag != 0) | (gamma.imag != 0))
 
 
-def expm(a):
-    """exp(a) for a square matrix or a stack of them (any leading axes).
-
-    Pade 13 with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl.
-    26 (2005) 1179): each matrix is scaled by 2^-s, s the least with
-    1-norm / 2^s <= THETA13, its [13/13] Pade approximant r is solved for,
-    and r is squared s times.  Each matrix of a stack gets its own s, so
-    it comes out as it would alone.
-    """
-    a = np.asarray(a)
-    shape = a.shape
-    a = a.reshape((-1,) + shape[-2:])
-    mant, exp = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / THETA13)
-    s = np.maximum(exp - (mant == 0.5), 0)  # ceil(log2(norm / THETA13)), at least 0
-    a = a * np.ldexp(1.0, -s)[:, None, None]
-    b = PADE13
-    ident = np.eye(shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(s.max(initial=0)):
-        more = s > k
-        r[more] = r[more] @ r[more]
-    return r.reshape(shape)
-
-
-def paths(spec_data):
-    """Each epsilon's propagator path, shaped like epsilon: REAL, COMPLEX or DENSE.
-
-    DENSE (expm) where 4B, alpha or gamma is within DEGENERACY_TOL of 0,
-    else COMPLEX where B is complex, else REAL.  `_rows` builds each
-    epsilon's rows on its own path.
-    """
-    sd = spec_data
-    degenerate = np.minimum(np.minimum(np.abs(4.0 * sd.B), np.abs(sd.alpha)),
-                            np.abs(sd.gamma)) < DEGENERACY_TOL
-    return np.where(degenerate, DENSE, np.where(sd.B.imag != 0, COMPLEX, REAL))
-
-
 def _cos_sinc(q, t):
-    """cos(theta t) and sin(theta t)/theta for theta^2 = q, elementwise.
+    """cos(theta t) and sin(theta t)/theta for theta^2 = q, elementwise; t where theta = 0.
 
     For real q both are real: cosh(|theta| t) and sinh(|theta| t)/|theta| where q < 0.
     """
     if np.iscomplexobj(q):
         theta = np.sqrt(q)
-        return np.cos(theta * t), np.sin(theta * t) / theta
-    r = np.sqrt(np.abs(q))
-    rt = r * t
-    c, s = np.cos(rt), np.sin(rt)
-    hyperbolic = np.broadcast_to(q < 0, rt.shape)
-    if hyperbolic.any():
-        c[hyperbolic], s[hyperbolic] = np.cosh(rt[hyperbolic]), np.sinh(rt[hyperbolic])
-    return c, s / r
+        c, s = np.cos(theta * t), np.sin(theta * t)
+    else:
+        theta = np.sqrt(np.abs(q))
+        rt = theta * t
+        c, s = np.cos(rt), np.sin(rt)
+        hyperbolic = np.broadcast_to(q < 0, rt.shape)
+        if hyperbolic.any():
+            c[hyperbolic], s[hyperbolic] = np.cosh(rt[hyperbolic]), np.sinh(rt[hyperbolic])
+    zero = theta == 0
+    if zero.any():
+        return c, np.where(zero, t, s / np.where(zero, 1.0, theta))
+    return c, s / theta
 
 
 def _rows(params, t):
@@ -155,30 +117,29 @@ def _rows(params, t):
     grid is shape = broadcast(epsilon, t), but with one axis of length 1 when
     that shape is (): numpy's scalar ufuncs may round differently from its
     array loops, and a scalar t must give the bits of the same t on a grid.
-    Each epsilon takes its own path (`paths`), so every member of a batch,
-    a fig5 cell or a noise-ensemble trial, gets the bits it would get alone.
+    Each epsilon takes its own form (real or complex B, Sylvester's or
+    Newton's), so every member of a batch, a fig5 cell or a noise-ensemble
+    trial, gets the bits it would get alone.
     """
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(np.shape(params.epsilon), t.shape)
     if not shape:
         t = t[None]
     sd = spectral(params)
-    path = paths(sd)
-    if (path != path.flat[0]).any():  # each path on the grid points whose epsilon takes it
-        eps, t, path = np.broadcast_arrays(params.epsilon, t, path)
+    newton = np.abs(4.0 * sd.B) <= KAPPA * np.maximum(np.abs(sd.alpha), np.abs(sd.gamma)) ** 2
+    form = 2 * newton + (sd.B.imag != 0)
+    if (form != form.flat[0]).any():  # each form on the grid points whose epsilon takes it
+        eps, t, form = np.broadcast_arrays(params.epsilon, t, form)
         re, im = np.empty((2, 2, 4) + shape)
-        for p in np.unique(path):
-            on = path == p
+        for f in np.unique(form):
+            on = form == f
             re[:, :, on], im[:, :, on], _ = _rows(replace(params, epsilon=eps[on]), t[on])
         return re, im, shape
     m = build_matrix(params)
-    if path.flat[0] == DENSE:
-        s = np.moveaxis(expm(-1j * t[..., None, None] * m)[..., :2, :], (-2, -1), (0, 1))
-        return s.real, s.imag, shape
-    real = path.flat[0] == REAL
+    real = form.flat[0] % 2 == 0
     b = sd.B.real if real else sd.B
     al2, ga2 = sd.A - 2.0 * b, sd.A + 2.0 * b
-    (ca, sa), (cg, sg) = _cos_sinc(al2, t), _cos_sinc(ga2, t)
+    ca, sa = _cos_sinc(al2, t)
 
     def top(x):  # rows 0-1 of a 4x4 stack as (2, 4) + epsilon's axes, aligned with the grid's
         x = np.ascontiguousarray(np.moveaxis(x[..., :2, :], (-2, -1), (0, 1)))
@@ -186,11 +147,31 @@ def _rows(params, t):
 
     m2 = m @ m
     i, m1, m2, m3 = (top(x) for x in (np.eye(4), m, m2, m2 @ m))
-    four_b = 4.0 * b
-    cos_part = ca * ((ga2 * i - m2) / four_b)        # cos(alpha t) P1
-    cos_part += cg * ((m2 - al2 * i) / four_b)       # cos(gamma t) P2
-    sin_part = sa * ((m3 - ga2 * m1) / four_b)       # sin(alpha t)/alpha P3/i
-    sin_part += sg * ((al2 * m1 - m3) / four_b)      # sin(gamma t)/gamma P4/i
+    if newton.flat[0]:
+        # divided differences over c = (alpha + gamma)/2 and d = (alpha - gamma)/2 = -B/c:
+        # F[alpha^2, gamma^2] = -(t^2/2) sinc(ct) sinc(dt) and G[alpha^2, gamma^2] =
+        # (t/2)(cos(ct) sinc(dt) - sinc(ct) cos(dt))/(alpha gamma), which is G'(0) = -t^3/6
+        # where c = 0 (alpha = gamma = 0).  alpha + gamma does not cancel: for real B their
+        # parts share signs, and for a complex B they are exact conjugates
+        alpha, gamma = sd.alpha, sd.gamma
+        c = (alpha + gamma) / 2.0
+        zero = c == 0
+        d = -sd.B / np.where(zero, 1.0, c)
+        (cos_c, sinc_c), (cos_d, sinc_d) = _cos_sinc(c * c, t), _cos_sinc(d * d, t)
+        f_diff = -0.5 * sinc_c * sinc_d
+        g_diff = 0.5 * (cos_c * sinc_d - sinc_c * cos_d) / np.where(zero, 1.0, alpha * gamma)
+        g_diff = np.where(zero, -t ** 3 / 6.0, g_diff)
+        cos_part = ca * i + f_diff * (m2 - al2 * i)         # F(M^2)
+        sin_part = -(sa * m1 + g_diff * (m3 - al2 * m1))    # -M G(M^2)
+        if real:
+            cos_part, sin_part = cos_part.real, sin_part.real
+    else:
+        cg, sg = _cos_sinc(ga2, t)
+        four_b = 4.0 * b
+        cos_part = ca * ((ga2 * i - m2) / four_b)        # cos(alpha t) P1
+        cos_part += cg * ((m2 - al2 * i) / four_b)       # cos(gamma t) P2
+        sin_part = sa * ((m3 - ga2 * m1) / four_b)       # sin(alpha t)/alpha P3/i
+        sin_part += sg * ((al2 * m1 - m3) / four_b)      # sin(gamma t)/gamma P4/i
     if real:
         return cos_part, sin_part, shape
     return cos_part.real - sin_part.imag, cos_part.imag + sin_part.real, shape

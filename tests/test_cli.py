@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityent import audit, cli, figures, fock, heisenberg, serialize
-from cavityent.params import ModelParams
+from cavityent.params import ModelParams, to_physical_time
+from test_transport_reference import BOUNDS, _reference
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -275,6 +276,20 @@ class TestCliEndToEnd:
         assert code == 0
         rows = np.loadtxt(out.splitlines()[1:], delimiter=",")
         assert rows.shape == (11, 3) and np.isfinite(rows).all()
+
+    def test_fig3_near_a_root_of_b_matches_the_40_digit_reference(self, capsys):
+        # at lambda = 2 omega, epsilon = 1.41421356 leaves B = 2.1e-8, where a form that
+        # divides by 4B was off by 4.8e-9; the CSV rounds to 12 digits, so read the JSON
+        argv = ["fig3", "--omega", "1", "--pairs", "2,1.41421356", "--n-initial", "3",
+                "--t-max-scaled", "0.2", "--points", "9"]
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        columns = json.loads(out)["columns"]
+        p = ModelParams(1.0, 2.0, 1.41421356, 3)
+        times = to_physical_time(np.array(columns["scaled_time"]), p)
+        want = np.array([_reference(p, t)[2] for t in times])
+        err = np.abs(np.array(columns["Y_lam2_eps1.41421"]) - want).max()
+        assert err <= BOUNDS["elsewhere"]["Y"], err
 
     def test_overflowing_physical_time_is_refused(self, tmp_path, capsys):
         # pi / lambda overflows at a subnormal lambda: fig2 used to write nan in Y and S

@@ -23,7 +23,7 @@ CELLS = [
     ModelParams(2.0, 0.001, 0.3, 5),
     ModelParams(2.0, 0.1, 0.3, 5),
     ModelParams(1.0, 0.1, 0.5, 5),   # the unstable side of the omega = 1 threshold
-    ModelParams(1.0, 1.0, 0.0, 5),   # alpha = omega - lambda = 0: the dense-expm fallback
+    ModelParams(1.0, 1.0, 0.0, 5),   # alpha = omega - lambda = 0: sin(alpha t)/alpha is t
 ]
 
 
@@ -44,8 +44,8 @@ def _window_maxima(t_scaled, windows):
 
 
 class TestScanPool:
-    def test_last_cell_takes_the_dense_fallback(self):
-        assert heisenberg.paths(heisenberg.spectral(CELLS[-1])) == heisenberg.DENSE
+    def test_last_cell_has_alpha_zero(self):
+        assert heisenberg.spectral(CELLS[-1]).alpha == 0
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 6])
     def test_pieced_maxima_equal_whole_grid_maxima(self, workers, monkeypatch):
@@ -148,23 +148,24 @@ class TestScanPool:
         assert seen == [threads]
 
     def test_a_block_mixing_propagator_paths_keeps_each_cells_bits(self, monkeypatch):
-        # at lambda = omega, epsilon = 0 has alpha = 0 and takes dense expm, the
-        # other three the real closed form; all four share one block, and each
-        # still gets the bits of its own path
+        # at omega = 1, lambda = 2, epsilon = 1.41421356 is 2e-8 from B = 0 and takes
+        # Newton's form, the other three Sylvester's; all four share one block, and
+        # each still gets the bits of its own form
         blocks = []
         series = heisenberg.covariance_series
         monkeypatch.setattr(heisenberg, "covariance_series", lambda params, t: (
             blocks.append(np.shape(params.epsilon)) or series(params, t)))
-        scan = dict(lambdas=(1.0,), omega=1.0, eps_max=0.3, eps_points=4)
+        scan = dict(lambdas=(2.0,), omega=1.0, eps_max=1.41421356, eps_points=4)
         columns, meta = figures.fig5(**scan, sensitivity=False)
         assert blocks == [(4, 1)]
         eps_grid = columns["epsilon"]
-        paths = heisenberg.paths(heisenberg.spectral(ModelParams(1.0, 1.0, eps_grid)))
-        assert paths.tolist() == [heisenberg.DENSE] + [heisenberg.REAL] * 3
+        sd = heisenberg.spectral(ModelParams(1.0, 2.0, eps_grid))
+        ratio = np.abs(4.0 * sd.B) / np.maximum(np.abs(sd.alpha), np.abs(sd.gamma)) ** 2
+        assert (ratio <= heisenberg.KAPPA).tolist() == [False] * 3 + [True]
         t_scaled = np.linspace(0.0, 5.0, meta["points"])
-        alone = [_serial_maxima(ModelParams(1.0, 1.0, float(eps), 5), t_scaled, [2.0])[0]
+        alone = [_serial_maxima(ModelParams(1.0, 2.0, float(eps), 5), t_scaled, [2.0])[0]
                  for eps in eps_grid]
-        assert columns["max_Y_lam1"].tobytes() == np.array(alone).tobytes()
+        assert columns["max_Y_lam2"].tobytes() == np.array(alone).tobytes()
 
     def test_a_block_is_refused_at_its_first_failing_epsilon(self, monkeypatch):
         # at omega = 1, lambda = 0.01 both epsilon = 0.6 and 0.9 overflow, 0.9 first

@@ -193,19 +193,20 @@ class TestBlocks:
         assert np.array_equal(fl.propagate_piecewise(p, sched)[1], y)
         assert (log_scale > 0).any() == (mean == 0.6)
 
-    @pytest.mark.parametrize("omega, lam, odd_eps", [(1.0, 1.0, 0.0), (1.0, 2.5, 1.5)],
+    @pytest.mark.parametrize("omega, lam, odd_eps", [(1.0, 2.0, 1.41421356), (1.0, 2.5, 1.5)],
                              ids=["degenerate", "complex-B"])
     def test_one_odd_segment_leaves_every_row_its_own_bits(self, omega, lam, odd_eps):
-        # at omega = lambda, epsilon = 0 gives alpha = 0 (dense expm); past
-        # lambda = 2 omega, epsilon = 1.5 gives a complex B.  One such segment
-        # of one trial shares a block with the other trials' real-path segments
+        # at lambda = 2 omega, epsilon = 1.41421356 is 2e-8 from B = 0 and takes Newton's
+        # form; past lambda = 2 omega, epsilon = 1.5 gives a complex B.  One such segment of
+        # one trial shares a block with the other trials' segments on Sylvester's real form
         p = ModelParams(omega, lam, 0.0, 5)
         values = np.random.default_rng(8).normal(0.3, 0.03, (3, 20))
         values[1, 7] = odd_eps
         sched = fl.FluctuationSchedule(0.5, values)
-        paths = hb.paths(hb.spectral(replace(p, epsilon=values)))
-        assert np.count_nonzero(paths != hb.REAL) == 1
-        assert paths[1, 7] == (hb.DENSE if odd_eps == 0.0 else hb.COMPLEX)
+        sd = hb.spectral(replace(p, epsilon=values))
+        ratio = np.abs(4.0 * sd.B) / np.maximum(np.abs(sd.alpha), np.abs(sd.gamma)) ** 2
+        odd = (ratio <= hb.KAPPA) | (sd.B.imag != 0)  # Newton's form or a complex B
+        assert np.argwhere(odd).tolist() == [[1, 7]]
         _, y = fl.propagate_piecewise(p, sched)
         for row, trial in zip(y, values):
             alone = fl.propagate_piecewise(p, replace(sched, values=trial))[1]

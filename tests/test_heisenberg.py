@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cavityent import audit
 from cavityent import binomial as bi
 from cavityent import heisenberg as hb
 from cavityent.params import ModelParams, covariance_measure, to_physical_time
+from test_transport_reference import _reference
 
 # symplectic form of (a, b, a^dag, b^dag): S SIGMA S^dag = SIGMA for every propagator
 SIGMA = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -18,11 +20,8 @@ def rel_err(a, b):
     return np.abs(a - b).max() / scale
 
 
-def assert_rows_of_expm(s, dense):
-    # the dense path takes rows 0-1 of expm bit for bit, and rows 2-3 are
-    # their conjugate with the column halves swapped, also bit for bit
-    np.testing.assert_array_equal(s[:2], dense[:2])
-    np.testing.assert_array_equal(s[2:], np.conj(np.roll(dense[:2], 2, axis=-1)))
+def reference_error(x, ref):  # as in test_transport_reference: relative to max(1, |ref|)
+    return float((np.abs(np.asarray(x) - ref) / np.maximum(1.0, np.abs(ref))).max())
 
 
 class TestCoefficientMatrix:
@@ -114,8 +113,8 @@ class TestChCoefficients:
                 assert value == pytest.approx(np.exp(-1j * theta * t), abs=1e-10)
 
     def test_degenerate_spectrum_raises(self):
-        sd = hb.spectral(ModelParams(1.0, 0.0, 0.0, 0))  # B = 0
-        assert hb.paths(sd) == hb.DENSE
+        sd = hb.spectral(ModelParams(1.0, 0.0, 0.0, 0))
+        assert sd.B == 0
         with pytest.raises(ValueError, match=r"degenerate spectrum.*B = .*alpha = .*gamma = "):
             audit.ch_coefficients(sd, 1.0)
 
@@ -126,7 +125,7 @@ class TestExpm:
         eps = rng.uniform(0.0, 0.45, size=(3, 5))  # below the threshold 0.495 at lambda = 0.1
         times = rng.uniform(0.0, 100.0, size=(3, 5))
         a = -1j * times[..., None, None] * hb.build_matrix(ModelParams(1.0, 0.1, eps, 5))
-        stack = hb.expm(a)
+        stack = audit.expm(a)
         assert stack.shape == (3, 5, 4, 4)
         for idx in np.ndindex(eps.shape):
             assert rel_err(stack[idx], expm(a[idx])) < 1e-12
@@ -136,13 +135,13 @@ class TestExpm:
         # whatever its own scaling; zero gives the identity
         m = hb.build_matrix(ModelParams(1.0, 0.1, np.array([0.0, 0.2, 0.6]), 5))
         a = -1j * np.array([[0.0], [1e-3], [50.0]])[..., None, None] * m[None]
-        stack = hb.expm(a)
+        stack = audit.expm(a)
         assert stack.shape == (3, 3, 4, 4)
         for idx in np.ndindex(3, 3):
-            assert np.array_equal(stack[idx], hb.expm(a[idx]))
+            assert np.array_equal(stack[idx], audit.expm(a[idx]))
         assert np.array_equal(stack[0], np.broadcast_to(np.eye(4), (3, 4, 4)))
-        assert hb.expm(np.zeros((4, 4))).shape == (4, 4)
-        assert hb.expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+        assert audit.expm(np.zeros((4, 4))).shape == (4, 4)
+        assert audit.expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
 
 class TestPropagator:
@@ -185,7 +184,8 @@ class TestPropagator:
             (ModelParams(1.0, 0.07, 0.21, 5), 11.0),                        # stable
             (ModelParams(1.0, 0.1, 0.6, 5), np.linspace(0.0, 40.0, 9)),     # unstable
             (ModelParams(1.0, 3.0, 2.0, 5), np.array([0.0, 0.4, 3.0])),     # complex B
-            (ModelParams(1.0, 0.1, 0.495, 5), np.array([0.0, 2.0, 30.0])),  # dense threshold
+            (ModelParams(1.0, 0.1, 0.495, 5), np.array([0.0, 2.0, 30.0])),  # alpha = 0
+            (ModelParams(1.0, 2.0, 1.41421356, 5), np.array([0.0, 2.0, 30.0])),  # B = 2e-8
             (ModelParams(1.0, 1e-3, 0.3, 5), 4000.0),                       # lambda = 1e-3
             (ModelParams(1.0, 0.05, np.array([[0.0], [0.1], [0.3], [0.6]]), 5),
              np.array([0.0, 3.0, 40.0])),                                   # epsilon batch
@@ -195,10 +195,12 @@ class TestPropagator:
             assert np.array_equal(s[..., 2:, :], np.conj(np.roll(s[..., :2, :], 2, axis=-1))), p
 
     def test_degenerate_fallback_is_total(self):
-        # lambda = 0 (and epsilon = 0) collapses the spectrum; dense path takes over
+        # lambda = 0 (and epsilon = 0) collapses the spectrum, B = 0: Newton's form
         p = ModelParams(1.0, 0.0, 0.0, 3)
         s = hb.propagators(p, 2.0)
         np.testing.assert_allclose(s, expm(-1j * 2.0 * hb.build_matrix(p)), atol=1e-12)
+        # omega = 0 too (unvalidated): M = 0, A = B = 0 and alpha = gamma = 0, so c = 0
+        np.testing.assert_array_equal(hb.propagators(replace(p, omega=0.0), 2.0), np.eye(4))
 
     def test_vectorized_matches_scalar(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
@@ -230,31 +232,35 @@ class TestPropagator:
                 single = hb.propagators(ModelParams(1.0, 0.05, float(e), 5), t)
                 assert np.array_equal(stack[i, j], single)
 
-    @pytest.mark.parametrize("lam, eps, paths", [
-        # at lambda = 0.1 the threshold epsilon = (1 - 0.01)/2 makes alpha = 0
-        (0.1, [[0.1, 0.495], [0.3, 0.0]], [[hb.REAL, hb.DENSE], [hb.REAL, hb.REAL]]),
-        # at lambda = 3, epsilon = 1.5 gives a complex B and epsilon = 4 gamma = 0
-        (3.0, [[0.5, 1.5], [4.0, 0.0]], [[hb.REAL, hb.COMPLEX], [hb.DENSE, hb.REAL]]),
-    ], ids=["real-dense", "real-complex-dense"])
-    def test_a_batch_mixing_paths_gives_each_epsilon_its_own_bits(self, lam, eps, paths):
-        eps = np.array(eps)
+    def test_a_batch_mixing_paths_gives_each_epsilon_its_own_bits(self):
+        # at omega = 1, lambda = 3: epsilon = 0.5 takes Sylvester's real form, 1.5 has a
+        # complex B, 4 has gamma = 0, and the root of B^2 near 1.07 takes Newton's form
+        eps = np.array([[0.5, 1.5], [4.0, math.sqrt((9.0 - math.sqrt(45.0)) / 2.0)]])
         times = np.array([0.0, 0.3, 2.0])
-        p = ModelParams(1.0, lam, eps[..., None], 5)
-        assert hb.paths(hb.spectral(p))[..., 0].tolist() == paths
+        p = ModelParams(1.0, 3.0, eps[..., None], 5)
+        sd = hb.spectral(p)
+        ratio = np.abs(4.0 * sd.B) / np.maximum(np.abs(sd.alpha), np.abs(sd.gamma)) ** 2
+        assert (ratio[..., 0] <= hb.KAPPA).tolist() == [[False, False], [False, True]]
+        assert (sd.B.imag != 0)[..., 0].tolist() == [[False, True], [False, False]]
+        assert sd.gamma[1, 0, 0] == 0
         stack = hb.propagators(p, times)
         assert stack.shape == eps.shape + times.shape + (4, 4)
         for idx in np.ndindex(eps.shape):
-            alone = ModelParams(1.0, lam, float(eps[idx]), 5)
+            alone = ModelParams(1.0, 3.0, float(eps[idx]), 5)
             for s, t in zip(stack[idx], times):
                 assert np.array_equal(s, hb.propagators(alone, t)), (idx, t)
-                if paths[idx[0]][idx[1]] == hb.DENSE:
-                    assert_rows_of_expm(s, hb.expm(-1j * t * hb.build_matrix(alone)))
 
-    def test_gamma_zero_goes_to_expm(self):
-        # lambda > omega: at omega = 1, lambda = 3, epsilon = 4, A + 2B = -22 + 22 = 0
+    def test_gamma_zero_is_as_accurate_as_expm(self):
+        # lambda > omega: at omega = 1, lambda = 3, epsilon = 4, A + 2B = -22 + 22 = 0, and
+        # sin(gamma t)/gamma is t; against the 40-digit reference S is no further off than expm
         p = ModelParams(1.0, 3.0, 4.0, 5)
         assert hb.spectral(p).gamma == 0.0
-        assert_rows_of_expm(hb.propagators(p, 0.3), hb.expm(-0.3j * hb.build_matrix(p)))
+        ours = dense = 0.0
+        for t in (0.05, 0.3, 2.0):
+            ref = _reference(p, t)[0]
+            ours = max(ours, reference_error(hb.propagators(p, t), ref))
+            dense = max(dense, reference_error(audit.expm(-1j * t * hb.build_matrix(p)), ref))
+        assert ours <= dense, (ours, dense)
 
     def test_degenerate_fallback_keeps_time_shape(self):
         p = ModelParams(1.0, 0.0, 0.0, 3)
@@ -329,12 +335,11 @@ class TestMoments:
         assert hb.covariance_series(p, t).max() == pytest.approx(0.6, abs=0.05)
 
 
-def _full_congruence_moments(p, t):
+def _full_congruence_moments(s, n):
     # every entry of S G(0) S^T, G(0) = <v_i v_j> of |N,0> over v = (a, b, a^dag, b^dag),
     # then the four that Y reads: <ab>, <ab^dag>, <a^dag a>, <b^dag b>
     g0 = np.zeros((4, 4), dtype=complex)
-    g0[0, 2], g0[1, 3], g0[2, 0] = p.n_initial + 1.0, 1.0, p.n_initial
-    s = hb.propagators(p, t)
+    g0[0, 2], g0[1, 3], g0[2, 0] = n + 1.0, 1.0, n
     g = np.einsum("...ik,kl,...jl->...ij", s, g0, s)
     return g[..., 0, 1], g[..., 0, 3], g[..., 2, 0].real, g[..., 3, 1].real
 
@@ -344,7 +349,7 @@ class TestMomentKernel:
 
     def assert_matches_full_congruence(self, p, t):
         kernel = hb.transported_moment_arrays(p, t)
-        reference = _full_congruence_moments(p, t)
+        reference = _full_congruence_moments(hb.propagators(p, t), p.n_initial)
         for q, ref in zip(kernel, reference):
             assert np.shape(q) == np.shape(ref)
             assert np.all(np.isfinite(q))
@@ -362,11 +367,20 @@ class TestMomentKernel:
         assert hb.spectral(p).unstable
         self.assert_matches_full_congruence(p, np.linspace(0.0, 40.0, 161))
 
-    def test_dense_expm_fallback(self):
-        # alpha = 0 at the threshold epsilon = (omega^2 - lambda^2) / (2 omega)
+    def test_alpha_zero_at_the_threshold(self):
+        # alpha = 0 at the threshold epsilon = (omega^2 - lambda^2) / (2 omega); against the
+        # 40-digit reference the moments are no further off than expm's full congruence
         p = ModelParams(1.0, 0.1, 0.495, 3)
-        assert hb.paths(hb.spectral(p)) == hb.DENSE
+        assert hb.spectral(p).alpha == 0.0
         self.assert_matches_full_congruence(p, np.linspace(0.0, 30.0, 61))
+        ours = dense = 0.0
+        for t in np.linspace(5.0, 30.0, 6):
+            ref = _reference(p, t)[1]
+            s = audit.expm(-1j * t * hb.build_matrix(p))
+            for x, y, r in zip(hb.transported_moment_arrays(p, t),
+                               _full_congruence_moments(s, p.n_initial), ref):
+                ours, dense = max(ours, reference_error(x, r)), max(dense, reference_error(y, r))
+        assert ours <= dense, (ours, dense)
 
     def test_epsilon_column_broadcast_against_times(self):
         p = ModelParams(1.0, 0.05, np.array([[0.1], [0.3], [0.6]]), 5)

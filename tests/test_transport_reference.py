@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavityent import audit
 from cavityent import heisenberg as hb
 from cavityent.params import ModelParams
 
@@ -77,8 +78,11 @@ def _sample():
     epsilon = (omega^2 - lambda^2) / (2 omega) and the unstable side, with
     lambda log-uniform down to 1e-3.  At the threshold alpha = 0, but the
     computed A - 2B is often a rounding error, not 0; the two fixed
-    threshold cells have it exactly 0 and go to dense expm.  Two cells with
-    lambda > 2 omega have a complex B.
+    threshold cells have it exactly 0, where sin(alpha t)/alpha is t.  Two
+    cells with lambda > 2 omega have a complex B.  Three cells sit near a
+    root of B^2 (lambda >= 2 omega), where Newton's form runs: B = 2.1e-8 at
+    fig3's (1, 2, 1.41421356), 7.1e-7 at (2, 4, 2.828427) and a complex
+    7.4e-4 on the unstable side, at (1, 4, 3.8637033).
     """
     rng = np.random.default_rng(20261018)
     cells = []
@@ -90,7 +94,9 @@ def _sample():
                float(rng.uniform(1.01, 1.5)) * threshold)[k % 4]
         cells.append(ModelParams(omega, lam, eps, int(rng.integers(0, 51))))
     cells += [ModelParams(1.0, 0.1, 0.495, 3), ModelParams(1.0, 1.0, 0.0, 5),
-              ModelParams(1.0, 3.0, 2.0, 5), ModelParams(0.5, 1.5, 0.9, 12)]
+              ModelParams(1.0, 3.0, 2.0, 5), ModelParams(0.5, 1.5, 0.9, 12),
+              ModelParams(1.0, 2.0, 1.41421356, 3), ModelParams(2.0, 4.0, 2.828427, 8),
+              ModelParams(1.0, 4.0, 3.8637033, 20)]
     sample = []
     for p in cells:
         regime = "threshold" if p.epsilon == _threshold(p.omega, p.lam) else "elsewhere"
@@ -118,16 +124,20 @@ def test_sample_covers_every_regime():
     kinds = set()
     for regime, p, _ in _sample():
         sd = hb.spectral(p)
-        if (hb.paths(sd) == hb.DENSE).any():
+        if sd.alpha == 0 or sd.gamma == 0:
             assert regime == "threshold"
-            kinds.add("dense expm")
+            kinds.add("theta = 0")
+        if abs(4.0 * sd.B) <= hb.KAPPA * max(abs(sd.alpha), abs(sd.gamma)) ** 2:
+            assert regime == "elsewhere"
+            kinds.add("B ~ 0")
         if np.iscomplex(sd.B):
             kinds.add("complex B")
         elif regime == "threshold" or p.epsilon == 0.0:
             kinds.add(regime if p.epsilon else "no pump")
         else:
             kinds.add("unstable" if sd.unstable else "stable")
-    assert kinds == {"no pump", "stable", "threshold", "dense expm", "unstable", "complex B"}
+    assert kinds == {"no pump", "stable", "threshold", "theta = 0", "B ~ 0", "unstable",
+                     "complex B"}
     assert min(p.lam for _, p, _ in _sample()) < 2e-3
     assert sum(len(times) for _, _, times in _sample()) >= 100
 
@@ -181,15 +191,16 @@ def _expm_error(expm, p, t, ref):
 
 
 def test_expm_on_dense_fallback_cells_is_as_accurate_as_scipy():
-    # heisenberg.expm replaced scipy.linalg.expm on the degenerate cells;
-    # against the 40-digit reference it may not be more than twice as far off
-    cells = [(p, times) for regime, p, times in _sample()
-             if (hb.paths(hb.spectral(p)) == hb.DENSE).any()]
+    # audit.expm, the reference of oracle-check's ch_vs_dense_exponential gate, on the
+    # theta = 0 cells, which once took it on the transport path: against the 40-digit
+    # reference it may not be more than twice as far off as scipy.linalg.expm
+    cells = [(p, times) for _, p, times in _sample()
+             if (hb.spectral(p).alpha == 0) or (hb.spectral(p).gamma == 0)]
     assert len(cells) == 3
     ours = theirs = 0.0
     for p, times in cells:
         for t in times:
             ref = _reference(p, t)[0]
-            ours = max(ours, _expm_error(hb.expm, p, t, ref))
+            ours = max(ours, _expm_error(audit.expm, p, t, ref))
             theirs = max(theirs, _expm_error(scipy.linalg.expm, p, t, ref))
     assert ours <= 2.0 * theirs, (ours, theirs)
