@@ -8,6 +8,7 @@ and the entropy peaks at the same instant.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ scaled = np.linspace(0.0, 1.0, 801)
 t = to_physical_time(scaled, params)
 
 na, nb = bi.photon_numbers(params, t)
-y = bi.covariance_measure_closed(N, LAM, t)
+y = bi.covariance_measure_closed(params, t)
 s = bi.entropy(bi.reduced_spectrum(params, t))
 
 print(f"initial photons: n_a = {na[0]:.3f}, n_b = {nb[0]:.3f}")
@@ -41,6 +42,6 @@ print(f"S peaks at scaled time  {scaled[np.argmax(s)]:.4f}")
 # the peak grows with N but never reaches 1/sqrt(2)
 print("\npeak Y by initial photon number:")
 for n in (1, 5, 10, 50, 500):
-    y_n = bi.covariance_measure_closed(n, LAM, t)
+    y_n = bi.covariance_measure_closed(replace(params, n_initial=n), t)
     print(f"  N = {n:4d}: {y_n.max():.5f}")
 print(f"  limit : {1 / math.sqrt(2):.5f}")

@@ -23,7 +23,7 @@ import os
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .params import ModelParams, to_physical_time, to_scaled_time, validate
+from .params import ModelParams, to_physical_time, to_scaled_time
 
-__all__ = ["ModelParams", "to_physical_time", "to_scaled_time", "validate"]
+__all__ = ["ModelParams", "to_physical_time", "to_scaled_time"]
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import binomial, fock, heisenberg
-from .params import ModelParams, covariance_measure, to_physical_time, validate
+from .params import ModelParams, covariance_measure, to_physical_time
 
 # Pade 13 numerator coefficients b_0 .. b_13 over b_0, so that exp(0) = I
 # exactly, and the 1-norm bound theta_13 up to which the approximant is
@@ -198,13 +198,13 @@ def oracle_check(
 
     # pump-free triple path: closed form / sector state / transport / oracle
     lam = 0.1
-    params = validate(ModelParams(omega, lam, 0.0, n_initial))
+    params = ModelParams(omega, lam, 0.0, n_initial)
     t_grid = to_physical_time(np.linspace(0.0, 0.5, 101), params)
     try:  # pump-free: the exact N rung, run before the sector states overflow at a large N
         basis, ev = fock.check_convergence(params, t_grid[-1])
     except fock.ConvergenceError as exc:
         raise fock.ConvergenceError(f"{exc}; only a smaller --n-initial helps") from None
-    y_closed = binomial.covariance_measure_closed(n_initial, lam, t_grid)
+    y_closed = binomial.covariance_measure_closed(params, t_grid)
     y_state = binomial.covariance_measure_from_state(binomial.binomial_state(params, t_grid))
     y_transport = heisenberg.covariance_series(params, t_grid)
     states = ev.at_times(t_grid)
@@ -252,7 +252,7 @@ def oracle_check(
     # pumped transport vs the Fock oracle, at the cutoff its leak bound
     # certifies (leak_bound at t_max, and the observable bound it implies)
     lam_p, eps_p = 0.1, 0.1
-    p = validate(ModelParams(omega, lam_p, eps_p, n_initial))
+    p = ModelParams(omega, lam_p, eps_p, n_initial)
     t_max = to_physical_time(1.0, p)
     try:
         basis, ev = fock.check_convergence(p, t_max, tol=convergence_tol)

@@ -53,10 +53,11 @@ def binomial_state(params, t):
     t = np.asarray(t, dtype=float)[..., None]
     phase = np.exp(-1j * n_total * params.omega * t)
     c, s = np.cos(params.lam * t), np.sin(params.lam * t)
-    # sign-safe even for negative cos/sin: powers of possibly negative reals
-    magnitude = np.exp(0.5 * _log_binomial(n_total))
-    amps = phase * magnitude * c ** (n_total - n) * s ** n
-    return amps.astype(complex)
+    # one exp of log(C(N, n)^1/2 |cos|^(N-n) |sin|^n), finite for any N, times the powers' signs
+    log_magnitude = (0.5 * _log_binomial(n_total) + _xlogy(n_total - n, np.abs(c))
+                     + _xlogy(n, np.abs(s)))
+    sign = np.sign(c) ** (n_total - n) * np.sign(s) ** n
+    return phase * (sign * np.exp(log_magnitude))
 
 
 def photon_numbers(params, t):
@@ -66,8 +67,9 @@ def photon_numbers(params, t):
     return n_total * c2, n_total * (1.0 - c2)
 
 
-def covariance_measure_closed(n_total, lam, t):
+def covariance_measure_closed(params, t):
     """Covariance entanglement measure Y of the evolved |N,0>, closed form."""
+    n_total, lam = params.n_initial, params.lam
     c2 = np.cos(lam * t) ** 2
     s2 = 1.0 - c2
     num = n_total * np.abs(np.sin(2.0 * (lam * t)))

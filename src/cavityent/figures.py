@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import binomial, fluctuations, heisenberg
-from .params import ModelParams, to_physical_time, validate
+from .params import ModelParams, to_physical_time
 
 FIG3_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.1), (0.1, 0.001))
 FIG4_PAIRS = ((0.001, 0.1), (0.001, 0.001), (0.1, 0.005))
@@ -58,12 +58,11 @@ def _labels(setting, values, label):
 def fig1(omega=1.0, lam=0.1, t_max_scaled=1.0, points=1001, n_values=(1, 5, 10, 50)):
     """Pump-free Y(t) for several initial photon numbers."""
     t_scaled = np.linspace(0.0, t_max_scaled, points)
-    params = validate(ModelParams(omega, lam, 0.0, 0))
-    t = to_physical_time(t_scaled, params)
+    t = to_physical_time(t_scaled, ModelParams(omega, lam, 0.0, 0))
     columns = {"t_scaled": t_scaled}
     for n, label in zip(n_values, _labels("n_values", n_values, lambda n: f"N{n}")):
-        validate(ModelParams(omega, lam, 0.0, n))
-        columns[f"Y_{label}"] = binomial.covariance_measure_closed(n, lam, t)
+        params = ModelParams(omega, lam, 0.0, n)
+        columns[f"Y_{label}"] = binomial.covariance_measure_closed(params, t)
     meta = {"omega": omega, "lambda": lam, "t_max_scaled": t_max_scaled,
             "points": points, "n_values": list(n_values)}
     return columns, meta
@@ -71,10 +70,10 @@ def fig1(omega=1.0, lam=0.1, t_max_scaled=1.0, points=1001, n_values=(1, 5, 10, 
 
 def fig2(omega=1.0, lam=0.1, n_initial=5, t_max_scaled=1.0, points=1001):
     """Pump-free Y and von Neumann entropy S for |N,0>."""
-    params = validate(ModelParams(omega, lam, 0.0, n_initial))
+    params = ModelParams(omega, lam, 0.0, n_initial)
     t_scaled = np.linspace(0.0, t_max_scaled, points)
     t = to_physical_time(t_scaled, params)
-    y = binomial.covariance_measure_closed(n_initial, lam, t)
+    y = binomial.covariance_measure_closed(params, t)
     s = binomial.entropy(binomial.reduced_spectrum(params, t))
     columns = {"scaled_time": t_scaled, "Y": y, "S": s}
     meta = {"omega": omega, "lambda": lam, "n_initial": n_initial,
@@ -98,7 +97,7 @@ def _pair_table(series, prefix, pairs, omega, n_initial, t_max_scaled, points):
     """A scaled_time column, then series on that grid as one column per (lambda, epsilon)."""
     labels = _labels("pairs", pairs, lambda pair: _tag(*pair))
     t_scaled = np.linspace(0.0, t_max_scaled, points)
-    cells = [validate(ModelParams(omega, lam, eps, n_initial)) for lam, eps in pairs]
+    cells = [ModelParams(omega, lam, eps, n_initial) for lam, eps in pairs]
     columns = {"scaled_time": t_scaled}
     for label, values in zip(labels, _scan(series, cells, t_scaled)):
         columns[f"{prefix}_{label}"] = values
@@ -158,12 +157,8 @@ def fig5(
     ends = np.searchsorted(t_scaled, returned, side="right")
     # ends is ascending, so the last is the prefix every returned window needs
     per_block = max(1, BLOCK // ends[-1])
-    blocks = []
-    for lam in lambdas:
-        for eps in eps_grid:
-            validate(ModelParams(omega, lam, float(eps), n_initial))
-        blocks += [ModelParams(omega, lam, eps_grid[start:start + per_block, None], n_initial)
-                   for start in range(0, eps_points, per_block)]
+    blocks = [ModelParams(omega, lam, eps_grid[start:start + per_block, None], n_initial)
+              for lam in lambdas for start in range(0, eps_points, per_block)]
 
     def window_maxima(params, t):
         y = heisenberg.covariance_series(params, t)
@@ -267,7 +262,7 @@ def fig6(
     batch = fluctuations.draw_schedules(mean_epsilon, n_trials, master_seed, n_segments,
                                         total_scaled_time, spread)
     for lam, tag in zip(lambdas, tags):
-        params = validate(ModelParams(omega, lam, mean_epsilon, n_initial))
+        params = ModelParams(omega, lam, mean_epsilon, n_initial)
         ens = fluctuations.ensemble_of(params, batch)
         if columns is None:
             columns = {"scaled_time": ens.t_scaled}

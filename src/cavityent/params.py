@@ -20,6 +20,10 @@ class ModelParams:
     epsilon   -- quadratic (two-photon) pump amplitude, real; the matrix
                  functions of `heisenberg` also take an array of them
     n_initial -- photon number N of the a-mode at t = 0 (b-mode in vacuum)
+
+    Building one, also by dataclasses.replace, raises a ValueError that names
+    each violation: omega, lam or epsilon not finite and real, omega <= 0, or
+    n_initial not an int >= 0.
     """
 
     omega: float = 1.0
@@ -27,31 +31,22 @@ class ModelParams:
     epsilon: float = 0.0
     n_initial: int = 5
 
-
-def violations(params):
-    """List every violated parameter invariant; empty list means valid."""
-    problems = []
-    for name in ("omega", "lam", "epsilon"):
-        value = getattr(params, name)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            problems.append(f"{name} must be a finite real number")
-    if isinstance(params.omega, (int, float)) and math.isfinite(params.omega):
-        if params.omega <= 0:
+    def __post_init__(self):
+        eps = self.epsilon
+        finite = {name: isinstance(value, (int, float)) and math.isfinite(value)
+                  for name, value in (("omega", self.omega), ("lam", self.lam), ("epsilon", eps))}
+        if isinstance(eps, np.ndarray):  # an epsilon batch, as the matrix functions take
+            finite["epsilon"] = eps.dtype.kind in "biuf" and bool(np.isfinite(eps).all())
+        problems = [f"{name} must be a finite real number" for name, ok in finite.items() if not ok]
+        if finite["omega"] and self.omega <= 0:
             problems.append("omega must be positive")
-    n = params.n_initial
-    if not isinstance(n, int) or isinstance(n, bool):
-        problems.append("n_initial must be an integer")
-    elif n < 0:
-        problems.append("n_initial must be non-negative")
-    return problems
-
-
-def validate(params):
-    """Return params unchanged if valid, else raise ValueError naming each problem."""
-    problems = violations(params)
-    if problems:
-        raise ValueError("invalid parameters: " + "; ".join(problems))
-    return params
+        n = self.n_initial
+        if not isinstance(n, int) or isinstance(n, bool):
+            problems.append("n_initial must be an integer")
+        elif n < 0:
+            problems.append("n_initial must be non-negative")
+        if problems:
+            raise ValueError("invalid parameters: " + "; ".join(problems))
 
 
 def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):

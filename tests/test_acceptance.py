@@ -36,7 +36,7 @@ def test_criterion_1_pump_free_peak_law():
     worst_val, worst_pos = 0.0, 0
     for n in (1, 5, 10, 50):
         p = ModelParams(1.0, lam, 0.0, n)
-        y = bi.covariance_measure_closed(n, lam, to_physical_time(grid, p))
+        y = bi.covariance_measure_closed(p, to_physical_time(grid, p))
         k = int(np.argmax(y))
         expected = n / (math.sqrt(2.0) * (n + 1))
         worst_val = max(worst_val, abs(y[k] - expected))
@@ -54,7 +54,7 @@ def test_criterion_2_triple_path_agreement():
     n, lam = 5, 0.1
     p = ModelParams(1.0, lam, 0.0, n)
     t = to_physical_time(np.linspace(0.0, 1.0, 201), p)
-    y_closed = bi.covariance_measure_closed(n, lam, t)
+    y_closed = bi.covariance_measure_closed(p, t)
     y_state = np.array([
         bi.covariance_measure_from_state(bi.binomial_state(p, tk)) for tk in t
     ])
@@ -80,7 +80,7 @@ def test_criterion_3_entropy():
     grid = np.linspace(0.0, 0.5, 4001)
     t = to_physical_time(grid, p)
     s = np.array([bi.entropy(bi.reduced_spectrum(p, tk)) for tk in t])
-    y = bi.covariance_measure_closed(n, lam, t)
+    y = bi.covariance_measure_closed(p, t)
     s_peak = s[np.argmin(np.abs(grid - 0.25))]
     bound_ok = s.max() <= math.log2(n + 1) + 1e-12
     coincide = abs(int(np.argmax(s)) - int(np.argmax(y))) <= 1

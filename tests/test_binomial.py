@@ -46,6 +46,14 @@ class TestBinomialState:
         assert np.all(np.isfinite(amps.view(float)))
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    def test_n_past_the_binomial_overflow_matches_the_closed_form(self):
+        # C(3000, 1500)^1/2 alone is 1e450: only the whole amplitude is in double range
+        p = ModelParams(1.0, 0.1, 0.0, 3000)
+        t = to_physical_time(np.linspace(0.0, 0.5, 101), p)
+        y_state = bi.covariance_measure_from_state(bi.binomial_state(p, t))
+        np.testing.assert_allclose(y_state, bi.covariance_measure_closed(p, t), rtol=0, atol=1e-13)
+
 
 class TestPhotonNumbers:
     def test_initial(self):
@@ -69,14 +77,14 @@ class TestPhotonNumbers:
 
 class TestCovarianceMeasure:
     def test_product_state_zero(self):
-        assert bi.covariance_measure_closed(7, 0.1, 0.0) == 0.0
+        assert bi.covariance_measure_closed(ModelParams(n_initial=7), 0.0) == 0.0
 
     def test_peak_value_n5(self):
-        y = bi.covariance_measure_closed(5, 0.1, t_at(0.25))
+        y = bi.covariance_measure_closed(ModelParams(n_initial=5), t_at(0.25))
         assert y == pytest.approx(5.0 / (math.sqrt(2.0) * 6.0), abs=1e-12)
 
     def test_peak_approaches_inverse_sqrt2(self):
-        y = bi.covariance_measure_closed(50, 0.1, t_at(0.25))
+        y = bi.covariance_measure_closed(ModelParams(n_initial=50), t_at(0.25))
         assert y == pytest.approx(50.0 / (math.sqrt(2.0) * 51.0), abs=1e-12)
         assert y < 1.0 / math.sqrt(2.0)
 
@@ -84,14 +92,14 @@ class TestCovarianceMeasure:
         p = ModelParams(n_initial=5)
         for t in np.linspace(0.0, 2 * math.pi / 0.1, 201):
             y_state = bi.covariance_measure_from_state(bi.binomial_state(p, t))
-            y_closed = bi.covariance_measure_closed(5, 0.1, t)
+            y_closed = bi.covariance_measure_closed(p, t)
             assert y_state == pytest.approx(y_closed, abs=1e-10)
 
     def test_state_based_matches_closed_form_n10(self):
         p = ModelParams(n_initial=10)
         t = t_at(0.125)
         y_state = bi.covariance_measure_from_state(bi.binomial_state(p, t))
-        assert y_state == pytest.approx(bi.covariance_measure_closed(10, 0.1, t), abs=1e-10)
+        assert y_state == pytest.approx(bi.covariance_measure_closed(p, t), abs=1e-10)
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -101,8 +109,8 @@ class TestCovarianceMeasure:
         p = ModelParams(n_initial=5)
         period = math.pi / (2 * 0.1)
         for t in np.linspace(0.0, period, 41):
-            assert bi.covariance_measure_closed(5, 0.1, t) == pytest.approx(
-                bi.covariance_measure_closed(5, 0.1, t + period), abs=1e-10
+            assert bi.covariance_measure_closed(p, t) == pytest.approx(
+                bi.covariance_measure_closed(p, t + period), abs=1e-10
             )
 
 
@@ -198,7 +206,7 @@ class TestJointFeatures:
         p = ModelParams(n_initial=5)
         t_scaled = np.linspace(0.0, 0.5, 501)  # one period of Y and S
         t = to_physical_time(t_scaled, p)
-        y = bi.covariance_measure_closed(5, 0.1, t)
+        y = bi.covariance_measure_closed(p, t)
         s = np.array([bi.entropy(bi.reduced_spectrum(p, tk)) for tk in t])
         assert abs(int(np.argmax(y)) - int(np.argmax(s))) <= 1
         assert t_scaled[np.argmax(y)] == pytest.approx(0.25, abs=0.001)

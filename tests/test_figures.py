@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -241,6 +242,17 @@ def test_pooled_json_is_identical_on_one_cpu_and_on_all(name, fmt, tmp_path):
 def test_an_empty_list_setting_is_refused_by_name(table, setting):
     with pytest.raises(ValueError, match=f"^{setting} must list at least one value$"):
         table(**{setting: ()})
+
+
+@pytest.mark.parametrize("table, settings, problem", [
+    (figures.fig1, {"omega": -1.0, "n_values": (-3, 2.5)}, "omega must be positive"),
+    (figures.fig1, {"n_values": (5, 2.5, -3)}, "n_initial must be an integer"),
+    (figures.fig5, {"eps_max": math.nan, "eps_points": 3, "points": 5},
+     "epsilon must be a finite real number"),
+], ids=["fig1-grid-before-any-n", "fig1-first-invalid-n", "fig5-epsilon-grid"])
+def test_invalid_constants_are_refused_by_name(table, settings, problem):
+    with pytest.raises(ValueError, match=f"^invalid parameters: {problem}$"):
+        table(**settings)
 
 
 def test_fig6_draws_each_trial_schedule_once_for_every_lambda(monkeypatch):

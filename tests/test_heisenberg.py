@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,8 +198,12 @@ class TestPropagator:
         p = ModelParams(1.0, 0.0, 0.0, 3)
         s = hb.propagators(p, 2.0)
         np.testing.assert_allclose(s, expm(-1j * 2.0 * hb.build_matrix(p)), atol=1e-12)
-        # omega = 0 too (unvalidated): M = 0, A = B = 0 and alpha = gamma = 0, so c = 0
-        np.testing.assert_array_equal(hb.propagators(replace(p, omega=0.0), 2.0), np.eye(4))
+        # omega^2 and lambda^2 underflow (epsilon = 0): A = B = 0, alpha = gamma = 0, so c = 0
+        tiny = ModelParams(1e-200, 1e-200, 0.0, 3)
+        sd = hb.spectral(tiny)
+        assert sd.A == 0 and sd.B == 0 and sd.alpha == 0 and sd.gamma == 0
+        np.testing.assert_array_equal(hb.propagators(tiny, 2.0),
+                                      audit.expm(-2j * hb.build_matrix(tiny)))
 
     def test_vectorized_matches_scalar(self):
         p = ModelParams(1.0, 0.1, 0.1, 5)
@@ -318,7 +321,7 @@ class TestMoments:
         p = ModelParams(1.0, 0.1, 0.0, 5)
         t = to_physical_time(np.linspace(0.0, 1.0, 301), p)
         y_transport = hb.covariance_series(p, t)
-        y_closed = bi.covariance_measure_closed(5, 0.1, t)
+        y_closed = bi.covariance_measure_closed(p, t)
         np.testing.assert_allclose(y_transport, y_closed, atol=1e-9)
 
     def test_photon_numbers_nonnegative(self):

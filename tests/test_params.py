@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from cavityent.params import (
     covariance_measure,
     to_physical_time,
     to_scaled_time,
-    validate,
-    violations,
 )
 
 
@@ -54,23 +53,42 @@ def test_round_trip_across_lambda_range():
 
 
 def test_reference_parameter_sets_are_valid():
-    validate(ModelParams(1.0, 0.1, 0.1, 5))
-    validate(ModelParams(1.0, 0.001, 0.3, 5))
+    ModelParams(1.0, 0.1, 0.1, 5)
+    ModelParams(1.0, 0.001, 0.3, 5)
+    ModelParams(1.0, 0.0, 0.0, 5)  # uncoupled: only the scaled time refuses lambda = 0
+    ModelParams(True, True, False, 5)  # bool constants are ints
+
+
+def test_an_epsilon_array_of_finite_reals_is_accepted():
+    for eps in (np.array([[0.0], [0.25], [-0.6]]), np.arange(3), np.array([], dtype=float)):
+        assert ModelParams(1.0, 0.1, eps, 5).epsilon is eps
 
 
 def test_invalid_parameters_are_all_named():
-    bad = ModelParams(omega=0.0, lam=float("nan"), epsilon=1.0, n_initial=-2)
-    problems = violations(bad)
-    assert len(problems) == 3
-    joined = " ".join(problems)
-    assert "omega" in joined and "lam" in joined and "n_initial" in joined
-    with pytest.raises(ValueError):
-        validate(bad)
+    with pytest.raises(ValueError) as refused:
+        ModelParams(omega=0.0, lam=float("nan"), epsilon=1.0, n_initial=-2)
+    assert str(refused.value) == ("invalid parameters: lam must be a finite real number; "
+                                  "omega must be positive; n_initial must be non-negative")
 
 
-def test_validate_returns_params_unchanged():
-    p = ModelParams(1.0, 0.1, 0.1, 5)
-    assert validate(p) is p
+VALID = ModelParams(1.0, 0.1, 0.1, 5)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ModelParams(1.0, 0.1, 0.1, -3), "n_initial"),
+    (lambda: ModelParams(1.0, 0.1, 0.1, 2.5), "n_initial"),
+    (lambda: ModelParams(1.0, 0.1, 0.1, True), "n_initial"),
+    (lambda: ModelParams(1.0, 0.1, 0.1, np.int64(5)), "n_initial"),
+    (lambda: ModelParams(0.0, 0.1, 0.1, 5), "omega"),
+    (lambda: ModelParams(-1.0, 0.1, 0.1, 5), "omega"),
+    (lambda: ModelParams(1.0, math.nan, 0.1, 5), "lam"),
+    (lambda: ModelParams(1.0, 0.1, np.array([0.0, math.inf, 0.2]), 5), "epsilon"),
+    (lambda: replace(VALID, n_initial=-3), "n_initial"),
+], ids=["N=-3", "N=2.5", "N=True", "N=int64", "omega=0", "omega=-1", "lam=nan",
+        "epsilon-array-inf", "replace-N=-3"])
+def test_construction_refuses_invalid_constants(build, field):
+    with pytest.raises(ValueError, match=rf"^invalid parameters: {field} must be [^;]*$"):
+        build()
 
 
 class TestCovarianceMeasure:
@@ -110,7 +128,8 @@ class TestCovarianceMeasure:
         t = np.linspace(0.0, 2 * math.pi / lam, 401)
         c, s = np.cos(lam * t), np.sin(lam * t)
         y = covariance_measure(np.zeros_like(t), 1j * n * s * c, n * c ** 2, n * s ** 2)
-        np.testing.assert_allclose(y, covariance_measure_closed(n, lam, t), atol=1e-12)
+        closed = covariance_measure_closed(ModelParams(lam=lam, n_initial=n), t)
+        np.testing.assert_allclose(y, closed, atol=1e-12)
 
     def test_scaled_moments_with_scaled_vacuum_term(self):
         # moments carried divided by a scale factor need the vacuum term
