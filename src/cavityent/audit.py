@@ -229,7 +229,7 @@ def oracle_check(
                   "max_corrected": 0.0, "max_printed": 0.0}
     for _ in range(n_random_draws):
         p = ModelParams(omega, rng.uniform(1e-3, 0.2), rng.uniform(0.0, 0.5), n_initial)
-        t = rng.uniform(0.0, 2.0) * np.pi / p.lam
+        t = to_physical_time(rng.uniform(0.0, 2.0), p)
         errs = ch_sign_audit(p, [t])
         ch_section["max_corrected"] = max(ch_section["max_corrected"], errs["corrected"])
         ch_section["max_printed"] = max(ch_section["max_printed"], errs["printed"])

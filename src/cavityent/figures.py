@@ -23,9 +23,9 @@ SENSITIVITY_WINDOWS = (1.0, 5.0)  # fig5's other scan windows, in units of pi/la
 # cells of the CSV prefix per block, so each pool task outweighs its numpy
 # call overheads, and one cell of the JSON run's longer grid
 BLOCK = 32768
-# glibc mallopt parameters and the values _scan pins: the mmap threshold at
-# the 32 MiB ceiling of glibc's own dynamic rule, and no trimming of a free
-# heap top below 256 MiB
+# glibc mallopt parameters and the values _scan and fig6 pin: the mmap
+# threshold at the 32 MiB ceiling of glibc's own dynamic rule, and no
+# trimming of a free heap top below 256 MiB
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD_BYTES, _MMAP_THRESHOLD_BYTES = 256 << 20, 32 << 20
 
@@ -251,7 +251,13 @@ def fig6(
     master_seed=12345,
     spread="std",
 ):
-    """Fluctuating-pump ensembles: per-trial Y series plus spread statistics."""
+    """Fluctuating-pump ensembles: per-trial Y series plus spread statistics.
+
+    Like the scans, it keeps the heap it frees (_keep_freed_heap): each
+    block of the noise ensemble's segments allocates and frees its
+    propagators' temporaries.
+    """
+    _keep_freed_heap()
     columns = None
     meta = {"omega": omega, "n_initial": n_initial, "mean_epsilon": mean_epsilon,
             "n_trials": n_trials, "n_segments": n_segments,

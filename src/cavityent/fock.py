@@ -36,6 +36,11 @@ from .binomial import entropy
 from .params import covariance_measure
 
 
+# rows of the eigenbasis SpectralEvolver.leak_bound sums at a time: each block's
+# temporaries are (LEAK_ROWS, n) arrays, 0.6 MB at oracle-check's top rung (n = 600)
+LEAK_ROWS = 128
+
+
 class ConvergenceError(RuntimeError):
     """Cutoff ceiling reached before observables converged."""
 
@@ -146,8 +151,18 @@ class SpectralEvolver:
         w_jk = E_j - E_k, a term that is t where w_jk = 0.  H's block is
         real symmetric, so V, x (psi0 real), z and W = z^T z are real, and
         W is symmetric.  The kernel's imaginary part (1 - cos(w t)) / w is
-        odd in w and cancels between W_jk and W_kj; its real part,
-        sin(w t) / w = t sinc(w t / pi), loses no digits at w = 0.
+        odd in w and cancels between W_jk and W_kj; its real part
+        sin(w t) / w is even, so the sum is taken over the upper triangle:
+
+            t sum_j W_jj + 2 sum_{j<k} W_jk sin(w_jk t) / w_jk,
+
+        the kernel again t where w_jk = 0 (a repeated eigenvalue).  It runs
+        over blocks of LEAK_ROWS rows j, each with its columns k > j only: a
+        block of W and of the kernel is built when it is summed, so for an
+        n-state sector no temporary but z, (m, n) for the m states the leak
+        reaches, is larger than a (LEAK_ROWS, n) array, and about n^2 / 2
+        sines are taken, not n^2.  The memory peak of a rung is then its
+        eigh in __init__, not this bound.
         """
         if not t >= 0:
             raise ValueError(f"leak_bound needs a time t >= 0, got t = {t}")
@@ -158,8 +173,15 @@ class SpectralEvolver:
         block = np.zeros((reached.size, self.energies.size))
         block[row, self._position[leak.cols[inside]]] = leak.values[inside]
         z = (block @ self.modes) * self._coeff.real
-        gap = self.energies[:, None] - self.energies[None, :]
-        integral = t * np.sum((z.T @ z) * np.sinc(gap * (t / np.pi)))
+        energies = self.energies
+        integral = t * np.vdot(z, z)  # the diagonal: sum_j W_jj
+        for first in range(0, energies.size - 1, LEAK_ROWS):
+            j, k = slice(first, first + LEAK_ROWS), slice(first + 1, None)
+            gap = energies[j, None] - energies[None, k]
+            kernel = np.divide(np.sin(gap * t), gap, out=np.full(gap.shape, float(t)),
+                               where=gap != 0)
+            # entry (j, k) of the block is kept where k > j: its upper triangle
+            integral += 2.0 * np.sum(np.triu((z[:, j].T @ z[:, k]) * kernel))
         return float(np.sqrt(t * max(integral, 0.0)))
 
 
@@ -284,7 +306,11 @@ def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
     omega n and the hopping keep n_a + n_b, so Q H P holds only the pump's
     a^dag^2 (and a drive's a^dag) out of the top shells: `truncation`'s
     leak.  SpectralEvolver.leak_bound evaluates the integral exactly in
-    the eigenbasis.  B is non-decreasing in t, so B(t_max) bounds every
+    the eigenbasis, over the upper triangle of its symmetric kernel in
+    blocks of LEAK_ROWS rows, with no n x n temporary.  Each failed rung's
+    evolver is dropped before the next rung is built, so the ladder's
+    memory peak is the top rung's eigh: its input copy, eigenvectors and
+    syevd workspace.  B is non-decreasing in t, so B(t_max) bounds every
     t <= t_max.  Without pump or drive Q H P is empty and B = 0: the N rung
     is exact and certifies itself.
 
@@ -331,4 +357,5 @@ def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
                 f"cutoff ceiling {ceiling} reached with observable bound {observable_bound:.3g}, "
                 f"not below tol = {tol:g}: unstable or strong-pump regime"
             )
+        del evolver  # its eigenvectors are not kept beside the next rung's eigh
         cutoff = min(max(cutoff + 2, (5 * cutoff + 3) // 4), ceiling)

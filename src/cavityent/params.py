@@ -33,7 +33,7 @@ class ModelParams:
 
     def __post_init__(self):
         eps = self.epsilon
-        finite = {name: isinstance(value, (int, float)) and math.isfinite(value)
+        finite = {name: _finite_real(value)
                   for name, value in (("omega", self.omega), ("lam", self.lam), ("epsilon", eps))}
         if isinstance(eps, np.ndarray):  # an epsilon batch, as the matrix functions take
             finite["epsilon"] = eps.dtype.kind in "biuf" and bool(np.isfinite(eps).all())
@@ -47,6 +47,16 @@ class ModelParams:
             problems.append("n_initial must be non-negative")
         if problems:
             raise ValueError("invalid parameters: " + "; ".join(problems))
+
+
+def _finite_real(value):
+    """Whether value is a Python int or float (a bool is an int) with a finite double value."""
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond double range
+        return False
 
 
 def covariance_measure(cov_ab, cov_ab_dagger, nbar_a, nbar_b, vacuum_half=0.5):

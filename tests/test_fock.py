@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,6 +464,35 @@ class TestCertificate:
         psi0 = fock.fock_state(basis, p.n_initial, 0)
         for scaled in (0.1, 0.5, 1.0):
             t = to_physical_time(scaled, p)
+            np.testing.assert_allclose(ev.leak_bound(leak, t),
+                                       _complex_leak_bound(ev, leak, psi0, t), rtol=1e-12)
+
+    def test_leak_bound_holds_no_square_temporary(self):
+        # oracle-check's certified rung: each n x n temporary would take
+        # n^2 8 bytes (2.9 MB); the blocked sum holds (LEAK_ROWS, n) blocks
+        p = ModelParams(1.0, 0.1, 0.1, 5)
+        _, ev, leak = _rung(p, 48)
+        n = ev.energies.size
+        assert n == 600
+        t = to_physical_time(1.0, p)
+        tracemalloc.start()
+        try:
+            ev.leak_bound(leak, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8
+
+    def test_leak_bound_reads_t_at_a_repeated_eigenvalue(self):
+        # H = diag(1, 1, 2): w_01 = 0 exactly, and the leak couples states 0
+        # and 1, so W_01 is nonzero and its kernel entry must read t
+        h = fock.SparseMatrix(np.arange(3), np.arange(3), np.array([1.0, 1.0, 2.0]), (3, 3))
+        leak = fock.SparseMatrix(np.array([0, 0, 1]), np.array([0, 1, 2]),
+                                 np.array([0.5, 0.3, 0.7]), (2, 3))
+        psi0 = np.array([0.48, 0.6, 0.64])
+        ev = fock.SpectralEvolver(h, psi0)
+        assert ev.energies[0] == ev.energies[1]
+        for t in (0.5, 3.0, 40.0):
             np.testing.assert_allclose(ev.leak_bound(leak, t),
                                        _complex_leak_bound(ev, leak, psi0, t), rtol=1e-12)
 

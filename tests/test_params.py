@@ -84,8 +84,13 @@ VALID = ModelParams(1.0, 0.1, 0.1, 5)
     (lambda: ModelParams(1.0, math.nan, 0.1, 5), "lam"),
     (lambda: ModelParams(1.0, 0.1, np.array([0.0, math.inf, 0.2]), 5), "epsilon"),
     (lambda: replace(VALID, n_initial=-3), "n_initial"),
+    # ints beyond double range: math.isfinite raises OverflowError on them
+    (lambda: ModelParams(10**400, 0.1, 0.1, 5), "omega"),
+    (lambda: ModelParams(1.0, -10**400, 0.1, 5), "lam"),
+    (lambda: ModelParams(1.0, 0.1, 10**400, 5), "epsilon"),
 ], ids=["N=-3", "N=2.5", "N=True", "N=int64", "omega=0", "omega=-1", "lam=nan",
-        "epsilon-array-inf", "replace-N=-3"])
+        "epsilon-array-inf", "replace-N=-3", "omega=10**400", "lam=-10**400",
+        "epsilon=10**400"])
 def test_construction_refuses_invalid_constants(build, field):
     with pytest.raises(ValueError, match=rf"^invalid parameters: {field} must be [^;]*$"):
         build()
