@@ -45,17 +45,17 @@ for eps in (0.2, 0.45, 0.55):
     print(f"eps = {eps:.2f}: {regime}")
 
 # noisy pump: ten trials, the same draws at both hopping strengths; the
-# drawn schedule is the pump, so the model's own epsilon is left at 0
+# drawn (trials, segments) schedule is the model's epsilon, over 5 scaled time units
 print("\nfluctuating pump, mean eps = 0.3, std = mean/10:")
 batch = fl.draw_schedules(0.3, n_trials=10, master_seed=12345)
 for lam in (0.001, 0.05):
-    ens = fl.ensemble_of(ModelParams(omega=1.0, lam=lam, n_initial=5), batch)
+    ens = fl.ensemble_of(ModelParams(omega=1.0, lam=lam, epsilon=batch, n_initial=5), 5.0)
     max_std, max_cv = fl.spread_statistics(ens)
     print(f"  lambda = {lam}: max std {max_std:.4f}, max CV {max_cv:.4f}")
 
 print("\nweak mean pump, eps = 0.001 (noise is invisible):")
 batch = fl.draw_schedules(0.001, n_trials=10, master_seed=12345)
 for lam in (0.001, 0.05):
-    ens = fl.ensemble_of(ModelParams(omega=1.0, lam=lam, n_initial=5), batch)
+    ens = fl.ensemble_of(ModelParams(omega=1.0, lam=lam, epsilon=batch, n_initial=5), 5.0)
     _, max_cv = fl.spread_statistics(ens)
     print(f"  lambda = {lam}: max CV {max_cv:.2e}")

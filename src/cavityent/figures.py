@@ -265,11 +265,9 @@ def fig6(
             "spread": spread, "spread_statistics": {}}
     tags = _labels("lambdas", lambdas, lambda lam: f"lam{lam:g}")
     # one draw of the trials' schedules, propagated at every lambda
-    batch = fluctuations.draw_schedules(mean_epsilon, n_trials, master_seed, n_segments,
-                                        total_scaled_time, spread)
+    batch = fluctuations.draw_schedules(mean_epsilon, n_trials, master_seed, n_segments, spread)
     for lam, tag in zip(lambdas, tags):
-        params = ModelParams(omega, lam, mean_epsilon, n_initial)
-        ens = fluctuations.ensemble_of(params, batch)
+        ens = fluctuations.ensemble_of(ModelParams(omega, lam, batch, n_initial), total_scaled_time)
         if columns is None:
             columns = {"scaled_time": ens.t_scaled}
         for k in range(n_trials):

@@ -16,8 +16,11 @@ ensemble-mean Y rather than pointwise: Y crosses zero periodically, and
 a pointwise std/mean is O(1) at the crossings for arbitrarily small
 pump noise, which would make the spread diagnostic meaningless.
 
-All trials of an ensemble are propagated together, and each gets the
-bits of its own run (`heisenberg.piecewise_series`).
+The drawn schedules are the pump: `draw_schedules` returns them as an
+(n_trials, n_segments) array, which goes in as params.epsilon, and
+`ensemble_of(params, total_scaled_time)` splits the run into n_segments
+equal steps.  All trials are propagated together, and each gets the bits
+of its own run (`heisenberg.piecewise_series`).
 """
 
 import math
@@ -32,16 +35,6 @@ from .params import to_physical_time
 
 
 @dataclass(frozen=True)
-class FluctuationSchedule:
-    total_scaled_time: float
-    values: np.ndarray    # (n_segments,), or (n_trials, n_segments) for a batch
-    n_segments = property(lambda self: self.values.shape[-1])
-
-    def segment_duration(self, params):
-        return to_physical_time(self.total_scaled_time, params) / self.n_segments
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
     t_scaled: np.ndarray      # shared grid, scaled-time units
     trials: np.ndarray        # (n_trials, len(t_scaled)) Y values
@@ -50,24 +43,12 @@ class EnsembleResult:
     cv: np.ndarray           # std normalized by the peak of the mean series
 
 
-def propagate_piecewise(params, schedule):
-    """(t_scaled, y): Y at every segment boundary under the piecewise-constant pump.
-
-    The schedule is the pump: params.epsilon is not read.  y has one row
-    per trial of a batched schedule, each of length n_segments + 1
-    (`heisenberg.piecewise_series`, which refuses a segment that overflows).
-    """
-    y = heisenberg.piecewise_series(params, schedule.values, schedule.segment_duration(params))
-    return np.linspace(0.0, schedule.total_scaled_time, schedule.n_segments + 1), y
-
-
 def trial_seed(master_seed, trial):
     return SeedSequence([int(master_seed), int(trial)])
 
 
-def draw_schedules(mean_epsilon, n_trials=10, master_seed=0, n_segments=100,
-                   total_scaled_time=5.0, spread="std"):
-    """The seeded piecewise-constant pump schedules of an ensemble, one row per trial.
+def draw_schedules(mean_epsilon, n_trials=10, master_seed=0, n_segments=100, spread="std"):
+    """The seeded piecewise-constant pump schedules of an ensemble, (n_trials, n_segments).
 
     Row k is n_segments Gaussian draws about mean_epsilon from
     default_rng(trial_seed(master_seed, k)), with
@@ -87,16 +68,22 @@ def draw_schedules(mean_epsilon, n_trials=10, master_seed=0, n_segments=100,
     if n_segments < 1:
         raise ValueError(f"need at least one pump segment, got n_segments = {n_segments}")
     rngs = (default_rng(trial_seed(master_seed, k)) for k in range(n_trials))
-    values = np.stack([rng.normal(mean_epsilon, sigma, int(n_segments)) for rng in rngs])
-    return FluctuationSchedule(float(total_scaled_time), values)
+    return np.stack([rng.normal(mean_epsilon, sigma, int(n_segments)) for rng in rngs])
 
 
-def ensemble_of(params, batch):
-    """Y of every trial of a batch of schedules, propagated together, and its statistics.
+def ensemble_of(params, total_scaled_time):
+    """Y of every trial of the batch params.epsilon over total_scaled_time, and its statistics.
 
-    The schedules are the pump: params.epsilon is not read.
+    params.epsilon is the (n_trials, n_segments) pump, row k trial k's schedule
+    (`draw_schedules`); the trials are propagated together on n_segments equal steps.
     """
-    t_scaled, trials = propagate_piecewise(params, batch)
+    shape = np.shape(params.epsilon)
+    if len(shape) != 2 or not all(shape):
+        raise ValueError(f"ensemble_of needs epsilon of shape (n_trials, n_segments), "
+                         f"both at least 1, got shape {shape}")
+    dt = to_physical_time(total_scaled_time, params) / shape[1]
+    trials = heisenberg.piecewise_series(params, dt)
+    t_scaled = np.linspace(0.0, total_scaled_time, shape[1] + 1)
     mean = trials.mean(axis=0)
     std = trials.std(axis=0)
     peak = mean.max()

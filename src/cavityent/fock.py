@@ -139,7 +139,7 @@ class SpectralEvolver:
         return out
 
     def leak_bound(self, leak, t):
-        """B(t) = sqrt(t int_0^t |leak psi(s)|^2 ds) for psi(s) = exp(-iHs) psi0, t >= 0.
+        """B(t) = sqrt(t int_0^t |leak psi(s)|^2 ds), psi(s) = exp(-iHs) psi0, finite t >= 0.
 
         leak is a SparseMatrix with the basis as columns (see truncation);
         psi0 must be real.  With x the eigen-coefficients of psi0, V the
@@ -164,8 +164,8 @@ class SpectralEvolver:
         sines are taken, not n^2.  The memory peak of a rung is then its
         eigh in __init__, not this bound.
         """
-        if not t >= 0:
-            raise ValueError(f"leak_bound needs a time t >= 0, got t = {t}")
+        if not 0 <= t < np.inf:  # sin(w t) of an infinite t is NaN
+            raise ValueError(f"leak_bound needs a finite time t >= 0, got t = {t}")
         if np.any(self._coeff.imag):
             raise ValueError("leak_bound needs a real psi0: it has a nonzero imaginary part")
         inside = self.sector[leak.cols]
@@ -294,7 +294,7 @@ def check_convergence(params, t_max, tol=1e-6, linear_drive=0.0, ceiling=120):
     bound B(t_max) and the observable bound 28 max(K, 2) B(t_max).  K runs
     up the ladder N, then max(K + 2, ceil(1.25 K)), to ceiling; past it,
     ConvergenceError.  An N above ceiling is refused the same way before any
-    rung is built: |N, 0> needs K >= N.  t_max must be >= 0.
+    rung is built: |N, 0> needs K >= N.  t_max must be finite and >= 0.
 
     State bound (rigorous).  Let psi be the exact state, phi the state
     evolved under P H P (it stays in T, with norm 1) and Q = 1 - P.  By the

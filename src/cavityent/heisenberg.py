@@ -25,12 +25,13 @@ are real (cosh and sinh/|theta| past the parametric instability), P1 and P2
 real and P3 and P4 imaginary, so u and v come as real and imaginary parts
 in real arithmetic; a complex B takes complex arithmetic.
 `propagators`, the moment kernel and `piecewise_series`, which steps a
-batch of pairs through a piecewise-constant pump, share this one row
-builder.  The second moments of |N,0>, short sums over u and v, are the
-authoritative route to Y; a series that overflows past the instability is
-refused.  The published structure-function formulas for the same moments
-and the Cayley-Hamilton coefficients live in `audit`, which never trusts
-them, beside the dense exponential that oracle-check gates S against.
+batch of pairs through a piecewise-constant pump (epsilon's last axis
+holds its segments), share this one row builder.  The second moments of
+|N,0>, short sums over u and v, are the authoritative route to Y; a
+series that overflows past the instability is refused.  The published
+structure-function formulas for the same moments and the Cayley-Hamilton
+coefficients live in `audit`, which never trusts them, beside the dense
+exponential that oracle-check gates S against.
 """
 
 import math
@@ -194,20 +195,23 @@ def transported_moment_arrays(params, t):
     return tuple(q.reshape(shape) for q in _paper_sums(re, im, params.n_initial))
 
 
-def piecewise_series(params, values, dt):
-    """Y at every segment boundary for epsilon = values[..., k] on segment k, each dt long.
+def piecewise_series(params, dt):
+    """Y at every segment boundary for the pump params.epsilon[..., k] on segment k, dt long.
 
-    params.epsilon is not read; y is values.shape[:-1] + (n_segments + 1,), Y(0) first.
-    Each trial (row of values) carries the pair (u, v) of its propagator product so far.
-    One `_rows` call builds a block of about BLOCK_CELLS (segment, trial) cells, each on its
-    own path, so each trial gets the bits of its own run, and Y is read once per block.  A
-    pair whose peak passes RESCALE_THRESHOLD is divided by it; the moments, quadratic in the
-    pair, keep the square of that factor in a log scale that only Y's vacuum term needs.
-    The rescale acts between segments, so a segment that grows a pair past double range
-    (about 1e258) is refused with a ValueError naming it; more segments shorten each step.
+    A scalar epsilon has no segment axis and is refused; y is epsilon.shape[:-1] +
+    (n_segments + 1,), Y(0) first.  Each trial (row of epsilon) carries the pair (u, v)
+    of its propagator product so far.  One `_rows` call builds a block of about
+    BLOCK_CELLS (segment, trial) cells, each on its own path, so each trial gets the bits
+    of its own run, and Y is read once per block.  A pair whose peak passes
+    RESCALE_THRESHOLD is divided by it; the moments, quadratic in the pair, keep the
+    square of that factor in a log scale that only Y's vacuum term needs.  The rescale
+    acts between segments, so a segment that grows a pair past double range (about
+    1e258) is refused with a ValueError naming it; more segments shorten each step.
     """
-    batch, n_segments = values.shape[:-1], values.shape[-1]
-    values = np.moveaxis(values, -1, 0)  # segment-major
+    if not np.ndim(params.epsilon):
+        raise ValueError("piecewise_series needs epsilon with a segment axis, got shape ()")
+    batch, n_segments = params.epsilon.shape[:-1], params.epsilon.shape[-1]
+    values = np.moveaxis(params.epsilon, -1, 0)  # segment-major
     step = max(1, BLOCK_CELLS // max(1, math.prod(batch)))
     pair = np.eye(2, 4)  # rows [u v] of S(0) = I, broadcast over the trials
     log_scale = np.zeros(batch)

@@ -18,7 +18,8 @@ class ModelParams:
     omega     -- angular frequency common to both modes
     lam       -- cavity-cavity photon hopping strength
     epsilon   -- quadratic (two-photon) pump amplitude, real; the matrix
-                 functions of `heisenberg` also take an array of them
+                 functions of `heisenberg` also take an array of them, and
+                 the noise ensemble its (trials, segments) pump schedules
     n_initial -- photon number N of the a-mode at t = 0 (b-mode in vacuum)
 
     Building one, also by dataclasses.replace, raises a ValueError that names

@@ -193,13 +193,13 @@ def test_criterion_8_fluctuation_contrast():
     for seed in range(5):
         cv = {}
         for lam in (0.001, 0.05):
-            p = ModelParams(1.0, lam, 0.3, 5)
-            ens = fl.ensemble_of(p, fl.draw_schedules(0.3, n_trials=10, master_seed=seed))
+            p = ModelParams(1.0, lam, fl.draw_schedules(0.3, n_trials=10, master_seed=seed), 5)
+            ens = fl.ensemble_of(p, 5.0)
             cv[lam] = fl.spread_statistics(ens)[1]
         wins += cv[0.001] > cv[0.05]
         for lam in (0.001, 0.05):
-            p = ModelParams(1.0, lam, 0.001, 5)
-            ens = fl.ensemble_of(p, fl.draw_schedules(0.001, n_trials=10, master_seed=seed))
+            p = ModelParams(1.0, lam, fl.draw_schedules(0.001, n_trials=10, master_seed=seed), 5)
+            ens = fl.ensemble_of(p, 5.0)
             weak_cvs.append(fl.spread_statistics(ens)[1])
     weak_max = max(weak_cvs)
     report(

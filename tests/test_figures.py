@@ -265,9 +265,8 @@ def test_fig6_draws_each_trial_schedule_once_for_every_lambda(monkeypatch):
                               master_seed=7)
     assert draws == [(7, 0), (7, 1), (7, 2)]
     # the shared draw is the one each lambda's ensemble makes on its own
-    batch = fluctuations.draw_schedules(0.3, n_trials=3, master_seed=7, n_segments=12,
-                                        total_scaled_time=1.0)
+    batch = fluctuations.draw_schedules(0.3, n_trials=3, master_seed=7, n_segments=12)
     for lam in lambdas:
-        ens = fluctuations.ensemble_of(ModelParams(1.0, lam, 0.3, 5), batch)
+        ens = fluctuations.ensemble_of(ModelParams(1.0, lam, batch, 5), 1.0)
         for k in range(3):
             assert np.array_equal(columns[f"Y_lam{lam:g}_trial{k + 1}"], ens.trials[k])

@@ -505,8 +505,22 @@ class TestCertificate:
     @pytest.mark.parametrize("t", [-31.4, -1e-300, math.nan])
     def test_a_time_that_is_not_non_negative_certifies_no_rung(self, t):
         # the formula gives B(t) <= 0 at a negative t, below any tol: it would certify K = N
-        with pytest.raises(ValueError, match=re.escape(f"needs a time t >= 0, got t = {t}")):
+        with pytest.raises(ValueError, match=re.escape(f"needs a finite time t >= 0, got t = {t}")):
             fock.check_convergence(ModelParams(1.0, 0.1, 0.1, 5), t)
+
+    def test_an_infinite_time_is_refused_at_the_first_rung(self, monkeypatch):
+        # sin(w t) is NaN at t = inf: unrefused, every rung's bound would read NaN and the
+        # ladder would climb to its ceiling to blame an unstable or strong-pump regime
+        rungs, build = [], fock.truncation
+
+        def truncation(params, cutoff, linear_drive):
+            rungs.append(cutoff)
+            return build(params, cutoff, linear_drive)
+
+        monkeypatch.setattr(fock, "truncation", truncation)
+        with pytest.raises(ValueError, match="needs a finite time t >= 0, got t = inf"):
+            fock.check_convergence(ModelParams(1, 0.1, 0.1, 5), math.inf, ceiling=9)
+        assert rungs == [5]
 
     @pytest.mark.parametrize(
         "lam, eps, n0, scaled, drive",
